@@ -3,9 +3,10 @@
 import itertools
 import random
 from math import factorial
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factoradic import (
@@ -65,10 +66,32 @@ def test_zero_is_single_entry():
     assert decode((0,)) == 0
 
 
+# lengths whose s! has fewer bits than core._BIG_BITS, then more, none of them
+# a power of two: their integers take the simple loop, then the product tree
+SIZES_AROUND_BIG_BITS = (3, 8, 100, 169, 170, 171, 172, 173, 300, 1001, 2500)
+
+
 def test_minimal_prefix_length_boundaries():
     for s in range(2, 9):
         assert minimal_prefix_length(factorial(s) - 1) == s
         assert minimal_prefix_length(factorial(s)) == s + 1
+    assert factorial(170).bit_length() <= core._BIG_BITS < factorial(172).bit_length()
+    for s in SIZES_AROUND_BIG_BITS:
+        f = factorial(s)
+        assert minimal_prefix_length(f // s) == s  # (s - 1)!
+        assert minimal_prefix_length(f // s - 1) == s - 1
+        assert minimal_prefix_length(f - 1) == s
+        assert minimal_prefix_length(f) == s + 1
+
+
+def test_minimal_prefix_length_cap():
+    with patch.object(core, "MAX_PREFIX_LENGTH", 200):
+        assert minimal_prefix_length(factorial(200) - 1) == 200
+        for n in (factorial(200), factorial(300)):
+            with pytest.raises(RangeTooLarge):
+                minimal_prefix_length(n)
+            with pytest.raises(RangeTooLarge):
+                digits_from_integer(n)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +183,7 @@ def test_large_permutation_paths_match_small():
     assert permutation_from_digits(d) == tuple(p)
 
 
-def test_large_integer_digit_path_matches_divmod():
-    rng = random.Random(11)
-    n = rng.getrandbits(6000)  # above the divide-and-conquer switchover
-    d = digits_from_integer(n)
+def _digits_by_divmod(n):
     q = n
     base = 2
     want = [0]
@@ -171,8 +191,28 @@ def test_large_integer_digit_path_matches_divmod():
         q, r = divmod(q, base)
         want.append(r)
         base += 1
-    assert list(d) == want
+    return want
+
+
+def test_large_integer_digit_path_matches_divmod():
+    rng = random.Random(11)
+    n = rng.getrandbits(6000)  # above the divide-and-conquer switchover
+    d = digits_from_integer(n)
+    assert list(d) == _digits_by_divmod(n)
     assert integer_from_digits(d) == n
+
+
+@pytest.mark.parametrize("s", SIZES_AROUND_BIG_BITS)
+def test_digits_at_exact_length_boundaries(s):
+    rng = random.Random(s)
+    f = factorial(s)
+    for n in (f // s, f // s + 1, rng.randrange(f // s, f), f - 1):
+        d = digits_from_integer(n)
+        assert len(d) == s
+        assert list(d) == _digits_by_divmod(n)
+        assert integer_from_digits(d) == n
+    assert digits_from_integer(f) == (0,) * s + (1,)
+    assert integer_from_digits((0,) * s + (1,)) == f
 
 
 def test_big_digit_accumulate_path():
@@ -180,6 +220,54 @@ def test_big_digit_accumulate_path():
     n = integer_from_digits(digits)
     assert n == factorial(1500) - 1
     assert digits_from_integer(n) == digits
+
+
+# ---------------------------------------------------------------------------
+# recursive division, with the builtin divmod as the reference; a low cutoff
+# sends small operands through every level of the recursion
+
+@settings(max_examples=300)
+@given(st.sampled_from([8, 33]), st.integers(1, 400), st.integers(0, 1400), st.data())
+def test_divmod_matches_builtin(cutoff, b_bits, a_bits, data):
+    b = data.draw(st.integers(1 << (b_bits - 1), (1 << b_bits) - 1))
+    a = data.draw(st.integers(0, (1 << a_bits) - 1))  # up to 3.5x b's length
+    with patch.object(core, "_DIV_CUTOFF", cutoff):
+        assert core._divmod(a, b) == divmod(a, b)
+
+
+@settings(max_examples=300)
+@given(st.integers(9, 300), st.data())
+def test_div2n1n_matches_builtin(n, data):
+    b = data.draw(st.integers(1 << (n - 1), (1 << n) - 1))
+    a = data.draw(st.integers(0, (b << n) - 1))
+    with patch.object(core, "_DIV_CUTOFF", 8):
+        assert core._div2n1n(a, b, n) == divmod(a, b)
+
+
+@settings(max_examples=300)
+@given(st.integers(5, 150), st.data())
+def test_div2n1n_when_top_of_dividend_equals_top_of_divisor(half, data):
+    # the first 3n/2n step takes its a12 >> n == b1 branch when the top
+    # quarter of the dividend equals the top half of the divisor (n even: an
+    # odd n is padded, which leaves the dividend too short for that)
+    n = 2 * half
+    b = data.draw(st.integers(1 << (n - 1), (1 << n) - 1))
+    b1, b2 = b >> half, b & ((1 << half) - 1)
+    assume(b2 > 0)
+    x = data.draw(st.integers(0, b2 - 1))  # keeps a < b << n
+    a = b1 << 3 * half | x << 2 * half | data.draw(st.integers(0, (1 << n) - 1))
+    with patch.object(core, "_DIV_CUTOFF", 8):
+        assert core._div2n1n(a, b, n) == divmod(a, b)
+
+
+def test_divmod_straddles_the_real_cutoff():
+    rng = random.Random(5)
+    cut = core._DIV_CUTOFF
+    for b_bits in (cut - 1, cut, cut + 1, 2 * cut + 1, 3 * cut):
+        b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+        for a_bits in (b_bits + cut, b_bits + cut + 1, 2 * b_bits, 5 * b_bits + 7):
+            a = rng.getrandbits(a_bits)
+            assert core._divmod(a, b) == divmod(a, b)
 
 
 # ---------------------------------------------------------------------------
