@@ -1,26 +1,26 @@
-"""Residues n mod k read off the k-prefix of n's permutation writing.
+"""Residues n mod k read off the first S(k) entries of n's permutation writing.
 
-The digit expansion n = sum a_j * j! gives n mod k directly: every j! with
-j >= k is a multiple of k, so only digits j < k contribute, and those digits
-are the inversion column sums of the k-prefix.  Hence
+The digit expansion n = sum a_j * j! gives n mod k directly, and digit a_j
+is column j's inversion count c_j (the entries before position j that are
+larger).  Coefficients j! mod k vanish from the first j with k | j! onward,
+the Kempner function S(k) <= k, so one coefficient per column j < S(k)
+decides the residue:
 
-    n mod k  =  ( sum_{i<j<k} inv(i, j) * (j! mod k) ) mod k
+    n mod k  =  ( sum_{j<S(k)} c_j * (j! mod k) ) mod k.
 
-over the k-prefix's inversion set.  Because the k-prefix's relative order
-depends only on n mod k!, residues of arbitrarily large n reduce to a
-k-entry computation.
-
-Coefficients j! mod k vanish from the first j with k | j! onward (the
-Kempner function S(k)), so the sum may stop at j < min(k, S(k)).
+Column counts depend only on the relative order of the prefix, which in
+turn depends only on n mod S(k)!, so residues of arbitrarily large n reduce
+to an S(k)-entry computation.
 """
 
 from __future__ import annotations
 
 import operator
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import _check_count, _count_earlier_larger, _validate_prefix, encode
+from .core import _check_count, _count_earlier_larger, _log2_factorial, _validate_prefix
+from .core import digits_from_integer, encode
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet, inversion_set
 
@@ -32,53 +32,64 @@ def _check_modulus(k) -> int:
     return k
 
 
+def _factorials_mod(k: int) -> Iterator[int]:
+    """j! mod k for j = 0, 1, ... while it is nonzero: S(k) values."""
+    j, w = 0, 1 % k
+    while w:
+        yield w
+        j += 1
+        w = w * j % k
+
+
+def _weighted_sum(counts: Iterable[int], weights: Iterable[int], k: int) -> int:
+    """(sum_j counts[j] * weights[j]) mod k over the shorter of the two."""
+    return sum(map(operator.mul, counts, weights)) % k
+
+
+def _prefix_sum(prefix: Sequence[int], need: int, weights: Sequence[int], k: int) -> int:
+    """The weighted column sum of a prefix, which must have ``need`` valid entries."""
+    entries = tuple(prefix)
+    if len(entries) < need:
+        raise PrefixTooShort(f"need a {need}-prefix, got {len(entries)} entries")
+    head = _validate_prefix(entries[:need])
+    return _weighted_sum(_count_earlier_larger(head[: len(weights)]), weights, k)
+
+
 def kempner(k: int) -> int:
     """Smallest j with k | j! (S(1) = 0, S(6) = 3, S(p) = p for prime p)."""
-    k = _check_modulus(k)
-    j = 0
-    w = 1 % k
-    while w:
-        j += 1
-        w = (w * j) % k
-    return j
+    return sum(1 for _ in _factorials_mod(_check_modulus(k)))
 
 
-def residue_from_prefix(prefix: Sequence[int], k: int, cutoff: bool = True) -> int:
+def residue_from_prefix(prefix: Sequence[int], k: int) -> int:
     """n mod k for any n whose permutation writing starts with this k-prefix.
 
-    Only the first k entries are read; extra entries are ignored.  With
-    ``cutoff`` (the default) pairs whose coefficient j! mod k vanishes are
-    skipped entirely; the result is identical either way.
+    The first k entries are required and validated, though only the first
+    S(k) of them are read; extra entries are ignored.
     """
     k = _check_modulus(k)
-    entries = tuple(prefix)
-    if len(entries) < k:
-        raise PrefixTooShort(f"need a {k}-prefix, got {len(entries)} entries")
-    if k == 1:
-        return 0
-    head = _validate_prefix(entries[:k])
-    limit = min(k, kempner(k)) if cutoff else k
-    counts = _count_earlier_larger(head[:limit])
-    total = 0
-    w = 1
-    for j in range(1, limit):
-        w = (w * j) % k
-        if counts[j] and w:
-            total += counts[j] * w
-    return total % k
+    return _prefix_sum(prefix, k, list(_factorials_mod(k)), k)
 
 
 def residue(n: int, k: int) -> int:
-    """n mod k computed through the k-prefix inversion formula.
+    """n mod k as the weighted sum of n's own factorial-base digits.
 
-    n is first reduced mod k! (which leaves the k-prefix's relative order
-    unchanged), encoded as a k-entry permutation, and handed to
-    :func:`residue_from_prefix`.  Agrees with plain ``n % k``.
+    Digit j is column j's inversion count, weighted by j! mod k.  Weights
+    are formed only while j! may be <= n, about min(S(k), digits of n) of
+    them, and n is reduced mod S(k)! only when it may have more than S(k)
+    digits, so neither k entries nor k! are ever built.  Agrees with plain
+    ``n % k``.
     """
     n = _check_count(n)
     k = _check_modulus(k)
-    m = n % factorial(k)
-    return residue_from_prefix(encode(m, k), k)
+    weights = []
+    for w in _factorials_mod(k):
+        # one bit of margin over the rounding of lgamma: j! > n for sure
+        if _log2_factorial(len(weights)) > n.bit_length() + 1:
+            break
+        weights.append(w)
+    else:
+        n %= factorial(len(weights))
+    return _weighted_sum(digits_from_integer(n), weights, k)
 
 
 def prefix_inversions(n: int, s: int) -> InversionSet:

@@ -1,11 +1,12 @@
 """Human-readable linear divisibility rules for a modulus k.
 
-A rule lists, for every index pair i < j of the k-prefix, the coefficient
-j! mod k; an integer is divisible by k exactly when the weighted sum of its
-prefix inversions is.  Coefficients are reported as balanced residues in
-(-k/2, k/2] so that, say, k - 1 prints as -1, and pairs whose coefficient
-vanishes (j >= S(k), the Kempner cutoff) are dropped altogether.  For k = 6
-only three pairs survive:
+Every pair i < j inverted in column j of a prefix carries the coefficient
+j! mod k, so a rule is one coefficient per column j < S(k), the Kempner
+cutoff from which every coefficient vanishes: k divides n exactly when it
+divides the coefficient-weighted sum of the column inversion counts.
+Coefficients are balanced residues in (-k/2, k/2] so that, say, k - 1
+prints as -1.  Renderings list each column's pairs, grouping the columns
+that share a coefficient.  For k = 6 only three pairs survive:
 
     inv(0,1) + 2(inv(0,2) + inv(1,2))
 """
@@ -18,20 +19,33 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
-from .core import _validate_prefix
-from .errors import ModulusTooSmall, PrefixTooShort
-from .modular import kempner
+from . import core
+from .errors import ModulusTooSmall, PrefixTooShort, RangeTooLarge
+from .modular import _factorials_mod, _prefix_sum
 
 _FORMATS = ("plain", "latex", "json")
 
 
 @dataclass(frozen=True)
 class DivisibilityRule:
-    """Rule for one modulus: nonzero terms (i, j, coefficient) sorted by (j, i)."""
+    """Rule for one modulus: coefficients[j] is j! mod k, balanced, for j < S(k)."""
 
     modulus: int
-    terms: tuple[tuple[int, int, int], ...]
-    effective_length: int
+    coefficients: tuple[int, ...]
+
+    @property
+    def effective_length(self) -> int:
+        """Prefix entries the rule reads: S(k), one per column."""
+        return len(self.coefficients)
+
+    @property
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        """Nonzero terms (i, j, coefficient) sorted by (j, i).
+
+        Raises ``RangeTooLarge`` past MAX_PREFIX_LENGTH pairs.
+        """
+        _check_listing(self)
+        return tuple((i, j, c) for j, c in enumerate(self.coefficients) for i in range(j))
 
     def term_map(self) -> dict[tuple[int, int], int]:
         return {(i, j): c for i, j, c in self.terms}
@@ -46,23 +60,28 @@ class DivisibilityRule:
         return render_rule(self)
 
 
-def generate_rule(k: int) -> DivisibilityRule:
-    """Divisibility rule for modulus k >= 2."""
+def _check_listing(rule: DivisibilityRule) -> None:
+    """Refuse to list more pairs than MAX_PREFIX_LENGTH, before allocating any."""
+    length = rule.effective_length
+    pairs = length * (length - 1) // 2
+    if pairs > core.MAX_PREFIX_LENGTH:
+        raise RangeTooLarge(f"rule for {rule.modulus} lists {pairs} pairs > MAX_PREFIX_LENGTH")
+
+
+def _check_at_least_two(k, name: str) -> int:
     try:
         k = operator.index(k)
     except TypeError:
-        raise ModulusTooSmall(f"modulus must be an integer >= 2, got {k!r}") from None
+        raise ModulusTooSmall(f"{name} must be an integer >= 2, got {k!r}") from None
     if k < 2:
-        raise ModulusTooSmall(f"rules need a modulus >= 2, got {k}")
-    limit = min(k, kempner(k))
-    terms = []
-    w = 1
-    for j in range(1, limit):
-        w = (w * j) % k
-        c = w if 2 * w <= k else w - k
-        for i in range(j):
-            terms.append((i, j, c))
-    return DivisibilityRule(k, tuple(terms), limit)
+        raise ModulusTooSmall(f"{name} must be >= 2, got {k}")
+    return k
+
+
+def generate_rule(k: int) -> DivisibilityRule:
+    """Divisibility rule for modulus k >= 2."""
+    k = _check_at_least_two(k, "modulus")
+    return DivisibilityRule(k, tuple(w if 2 * w <= k else w - k for w in _factorials_mod(k)))
 
 
 def evaluate_rule(rule: DivisibilityRule, prefix: Sequence[int]) -> int:
@@ -70,44 +89,23 @@ def evaluate_rule(rule: DivisibilityRule, prefix: Sequence[int]) -> int:
 
     Needs only ``rule.effective_length`` entries, which may be fewer than k.
     """
-    need = rule.effective_length
-    entries = tuple(prefix)
-    if len(entries) < need:
-        raise PrefixTooShort(
-            f"rule for {rule.modulus} reads {need} entries, got {len(entries)}"
-        )
-    head = _validate_prefix(entries[:need])
-    total = sum(c for i, j, c in rule.terms if head[i] > head[j])
-    return total % rule.modulus
-
-
-def _grouped(rule: DivisibilityRule) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Coefficient groups in order of first appearance; pairs (i, j)-sorted."""
-    order: list[int] = []
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, j, c in rule.terms:
-        if c not in groups:
-            groups[c] = []
-            order.append(c)
-        groups[c].append((i, j))
-    return [(c, sorted(groups[c])) for c in order]
+    return _prefix_sum(prefix, rule.effective_length, rule.coefficients, rule.modulus)
 
 
 def _render_terms(rule: DivisibilityRule, inv_fmt, group_open: str, group_close: str) -> str:
-    chunks: list[tuple[int, str]] = []  # (sign, body)
-    for c, pairs in _grouped(rule):
-        body = " + ".join(inv_fmt(i, j) for i, j in pairs)
-        if abs(c) == 1:
-            chunks.extend((c, inv_fmt(i, j)) for i, j in pairs)
-        else:
-            chunks.append((c, f"{abs(c)}{group_open}{body}{group_close}"))
+    """Signed terms; columns sharing a coefficient in order of first appearance."""
+    _check_listing(rule)
+    columns: dict[int, list[int]] = {}
+    for j, c in enumerate(rule.coefficients):
+        columns.setdefault(c, []).append(j)
     out = []
-    for sign, body in chunks:
-        if not out:
-            out.append(body if sign > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(out)
+    for c, js in columns.items():
+        bodies = [inv_fmt(i, j) for i in range(js[-1]) for j in js if i < j]
+        if abs(c) != 1:
+            bodies = [f"{abs(c)}{group_open}{' + '.join(bodies)}{group_close}"]
+        out.extend(f"+ {body}" if c > 0 else f"- {body}" for body in bodies)
+    # columns 0 and 1 have coefficient 1, so the sum opens with "+ "
+    return " ".join(out).removeprefix("+ ")
 
 
 def render_rule(rule: DivisibilityRule, fmt: str = "plain") -> str:
@@ -140,8 +138,7 @@ def _is_prime(k: int) -> bool:
 
 def rule_table(k_max: int, primes_only: bool = False) -> list[DivisibilityRule]:
     """Rules for k = 2..k_max, optionally restricted to prime moduli."""
-    if k_max < 2:
-        raise ModulusTooSmall(f"table needs k_max >= 2, got {k_max}")
+    k_max = _check_at_least_two(k_max, "k_max")
     return [
         generate_rule(k)
         for k in range(2, k_max + 1)

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -176,6 +177,15 @@ def test_malformed_input_exits_1(capsys):
     assert code == 1
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_rule_listing_too_large_exits_1(capsys):
+    # S(100003) = 100003 columns: about 5e9 pairs, refused before listing any
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "rule", "100003")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,5 +1,6 @@
 """Residue unit tests: prefix formula, periodicity, Kempner cutoff."""
 
+import time
 from math import factorial
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from factoradic import (
+    MAX_PREFIX_LENGTH,
     DuplicateEntry,
     ModulusZero,
     PrefixTooShort,
+    digits_from_permutation,
     divisible,
     encode,
     kempner,
@@ -17,6 +20,7 @@ from factoradic import (
     residue,
     residue_from_prefix,
 )
+from factoradic.rules import _is_prime
 
 
 def test_residue_golden():
@@ -50,12 +54,13 @@ def test_prefix_entries_need_not_be_contiguous():
 
 
 def test_cutoff_agrees_with_full_sum():
+    # the S(k)-column sum equals the full k-column sum of c_j * j! mod k
     for k in range(1, 16):
         for n in range(200):
             p = encode(n % factorial(k), k)
-            assert residue_from_prefix(p, k, cutoff=True) == residue_from_prefix(
-                p, k, cutoff=False
-            )
+            counts = digits_from_permutation(p)
+            full = sum(counts[j] * factorial(j) for j in range(k)) % k
+            assert residue_from_prefix(p, k) == full
 
 
 def test_kempner_values():
@@ -118,3 +123,24 @@ def test_modulus_one():
     assert residue(12345, 1) == 0
     assert residue_from_prefix((0,), 1) == 0
     assert divisible(7, 1)
+
+
+def test_residue_large_modulus_is_fast():
+    # S(2^20) = 24 and 5 has three digits: neither k! nor k entries are built
+    for n, k in ((12345, 2**20), (5, 1_000_003)):
+        start = time.perf_counter()
+        assert residue(n, k) == n
+        assert time.perf_counter() - start < 1.0
+
+
+# primes above MAX_PREFIX_LENGTH, up to the largest below 2^40
+_BIG_PRIMES = (1_000_003, 1_000_033, 2_147_483_647, 2**40 - 87)
+
+
+@given(st.integers(0, 10**300), st.integers(1, 2**40) | st.sampled_from(_BIG_PRIMES))
+def test_residue_matches_direct_large_moduli(n, k):
+    assert residue(n, k) == n % k
+
+
+def test_big_primes_are_primes_above_the_cap():
+    assert all(p > MAX_PREFIX_LENGTH and _is_prime(p) for p in _BIG_PRIMES)

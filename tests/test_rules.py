@@ -1,6 +1,7 @@
 """Divisibility-rule unit tests: term generation, evaluation, rendering."""
 
 import json
+import time
 from math import factorial
 
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from factoradic import (
+    MAX_PREFIX_LENGTH,
     ModulusTooSmall,
     PrefixTooShort,
+    RangeTooLarge,
+    divisible,
     encode,
     evaluate_rule,
     generate_rule,
@@ -18,7 +22,8 @@ from factoradic import (
     render_rule,
     rule_table,
 )
-from factoradic.rules import _is_prime
+from factoradic import core
+from factoradic.rules import DivisibilityRule, _is_prime
 
 from golden import RULE_RENDERINGS, RULE_TERM_SETS
 
@@ -78,6 +83,23 @@ def test_evaluate_matches_direct_residue_random(n, k):
     assert evaluate_rule(rule, encode(n, length)) == n % k
 
 
+@given(
+    st.integers(2, 80).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(0, 10**6), min_size=k, max_size=k + 5, unique=True),
+        )
+    )
+)
+def test_evaluate_matches_pair_definition(case):
+    # distinct entries, not only encodings: gaps between values are allowed
+    k, prefix = case
+    rule = generate_rule(k)
+    want = sum(c for i, j, c in rule.terms if prefix[i] > prefix[j]) % k
+    assert evaluate_rule(rule, prefix) == want
+    assert divisible(prefix, k) == (want == 0)
+
+
 def test_evaluate_needs_only_effective_length():
     rule = generate_rule(6)
     assert rule.effective_length == 3
@@ -93,6 +115,54 @@ def test_modulus_too_small():
             generate_rule(bad)
     with pytest.raises(ModulusTooSmall):
         rule_table(1)
+    for bad in (2.5, "5", None):
+        with pytest.raises(ModulusTooSmall):
+            rule_table(bad)
+        with pytest.raises(ModulusTooSmall):
+            generate_rule(bad)
+
+
+def test_rule_stores_one_coefficient_per_column():
+    rule = generate_rule(6)
+    assert rule == DivisibilityRule(6, (1, 1, 2))
+    big = generate_rule(3001)  # prime: S(3001) = 3001 columns, 4.5M pairs
+    assert big.effective_length == len(big.coefficients) == 3001
+
+
+def test_listing_refused_past_the_cap():
+    # S(100003) = 100003 columns would list about 5e9 pairs
+    start = time.perf_counter()
+    rule = generate_rule(100_003)
+    assert evaluate_rule(rule, range(100_003)) == 0
+    for listing in (
+        lambda: rule.terms,
+        rule.term_map,
+        rule.to_json_obj,
+        lambda: str(rule),
+        lambda: render_rule(rule, "latex"),
+        lambda: render_rule(rule, "json"),
+    ):
+        with pytest.raises(RangeTooLarge):
+            listing()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_listing_cap_boundary(monkeypatch):
+    # the cap is read at call time; k = 5 lists 10 pairs, k = 7 lists 21
+    monkeypatch.setattr(core, "MAX_PREFIX_LENGTH", 10)
+    assert len(generate_rule(5).terms) == 10
+    assert render_rule(generate_rule(5)).count("inv(") == 10
+    with pytest.raises(RangeTooLarge):
+        render_rule(generate_rule(7))
+    assert evaluate_rule(generate_rule(7), encode(700, 7)) == 0
+
+
+def test_smallest_refused_listing_is_1423():
+    # S(k) >= 1415 columns list more than MAX_PREFIX_LENGTH = 10^6 pairs
+    assert 1414 * 1413 // 2 <= MAX_PREFIX_LENGTH < 1415 * 1414 // 2
+    assert min(k for k in range(2, 1424) if kempner(k) >= 1415) == 1423
+    with pytest.raises(RangeTooLarge):
+        generate_rule(1423).terms
 
 
 def test_latex_rendering():
