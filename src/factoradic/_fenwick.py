@@ -1,34 +1,31 @@
-"""Fenwick (binary indexed) tree over positions 0..n-1.
+"""Fenwick (binary indexed) tree over positions 0..n-1, used as a pool.
 
-Used for two O(log n) primitives the codec needs: counting how many of the
-previously inserted values are <= a given value, and selecting the k-th
-smallest value still present in a pool.
+The pool starts with every position present once.  The codec needs three
+O(log n) primitives on it: take a position out, count the present positions
+<= a given one, and select the k-th smallest present position.
 """
 
 from __future__ import annotations
 
 
 class FenwickTree:
-    def __init__(self, n: int, ones: bool = False):
+    def __init__(self, n: int):
         self.n = n
-        if ones:
-            # closed form for an all-ones array: node i covers i & -i leaves
-            self.tree = [0] + [i & -i for i in range(1, n + 1)]
-        else:
-            self.tree = [0] * (n + 1)
+        # closed form for an all-ones array: node i covers i & -i leaves
+        self.tree = [0] + [i & -i for i in range(1, n + 1)]
         self._top_bit = 1 << n.bit_length()
 
-    def add(self, i: int, delta: int = 1) -> None:
-        """Add delta at position i (0-indexed)."""
+    def remove(self, i: int) -> None:
+        """Take position i (0-indexed, present) out of the pool."""
         i += 1
         tree = self.tree
         n = self.n
         while i <= n:
-            tree[i] += delta
+            tree[i] -= 1
             i += i & -i
 
     def count_le(self, i: int) -> int:
-        """Sum of positions 0..i."""
+        """Number of present positions among 0..i."""
         total = 0
         tree = self.tree
         i += 1
@@ -38,10 +35,7 @@ class FenwickTree:
         return total
 
     def select(self, k: int) -> int:
-        """Position of the k-th present unit, 0-indexed.
-
-        Assumes every stored value is 0 or 1 and 0 <= k < total count.
-        """
+        """The k-th smallest present position, 0-indexed; 0 <= k < count."""
         pos = 0
         tree = self.tree
         n = self.n

@@ -23,6 +23,7 @@ from time import perf_counter
 
 from . import __version__
 from .core import (
+    _check_cap,
     compare_factoradic,
     decode,
     digits_from_integer,
@@ -39,7 +40,7 @@ from .reference import (
     check_residues,
     mod_direct,
 )
-from .rules import generate_rule, render_rule, rule_table
+from .rules import _check_listing, generate_rule, render_rule, rule_table
 
 _ORDERING_WORDS = {-1: "precedes", 0: "equal", 1: "follows"}
 
@@ -133,7 +134,15 @@ def _cmd_rule(args) -> int:
 def _cmd_table(args) -> int:
     rules = rule_table(args.kmax, primes_only=args.primes)
     if args.format == "json":
-        _emit_json([r.to_json_obj() for r in rules])
+        # the text of _emit_json(list), one rule at a time: memory follows
+        # the largest rule, not the table; every listing is checked first
+        for r in rules:
+            _check_listing(r)
+        sep = "["
+        for r in rules:
+            sys.stdout.write(sep + json.dumps(r.to_json_obj()))
+            sep = ", "
+        print("]")
     else:
         for r in rules:
             print(f"{r.modulus}: {render_rule(r, args.format)}")
@@ -172,6 +181,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     s = args.size
+    _check_cap(s)
     n = random.Random(0).randrange(factorial(s))
     t0 = perf_counter()
     perm = encode(n)

@@ -20,7 +20,7 @@ All functions are pure and safe to call from multiple threads.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from math import factorial, lgamma, log, log2, prod
 from typing import Sequence
 
@@ -39,12 +39,17 @@ from .errors import (
 #: Module-level and adjustable by callers who know what they are doing.
 MAX_PREFIX_LENGTH = 10**6
 
-# Below this length the list-based permutation loops beat the Fenwick tree;
-# set on CPython 3.10 and not re-measured since.
-_BIG_PERM = 512
-
 # The crossovers below are timeit minima on CPython 3.11.7 (2 vCPU x86-64).
 #
+# Permutations of up to this many entries take the list kernels; longer ones
+# the Fenwick tree.  List against Fenwick, ms, random permutations:
+#   s                       10,000   30,000   40,000   50,000   55,000
+#   digits -> permutation   4.1/26   52/82    95/124   138/148  161/151
+#   permutation -> digits   8.9/18   63/61    113/98   162/106  191/108
+# so the two directions cross near 55,000 and 30,000.  One of each, as in a
+# round trip, crosses near 45,000 (40,000: 208 vs 222; 50,000: 300 vs 253).
+# (CPython 3.13.0: near 90,000 and 50,000, and 65,000 for a round trip.)
+_BIG_PERM = 45_000
 # Integers up to this many bits take the simple divmod loop; above, the
 # product tree.  1,024 bits: loop 40 us, tree 41 us; 1,280 bits: 53 vs 49.
 _BIG_BITS = 1024
@@ -61,6 +66,10 @@ _DIV_CUTOFF = 2500
 
 # ---------------------------------------------------------------------------
 # validation helpers
+#
+# Every public function checks its input once, here, and then hands it to
+# unchecked kernels.  The checks are C-level passes (map, min, set, sorted); an
+# error message is worked out only once a check has failed.
 
 def _check_count(n) -> int:
     n = operator.index(n)
@@ -77,20 +86,20 @@ def _check_cap(s: int) -> None:
 
 
 def _validate_digits(digits: Sequence[int]) -> tuple[int, ...]:
-    d = tuple(operator.index(x) for x in digits)
+    d = tuple(map(operator.index, digits))
     if not d:
         raise InvalidDigit("empty digit sequence; zero is written as (0,)")
-    for i, a in enumerate(d):
-        if not 0 <= a <= i:
-            raise InvalidDigit(f"digit {a} at index {i} outside 0..{i}")
+    if min(d) < 0 or not all(map(operator.le, d, range(len(d)))):
+        i, a = next((i, a) for i, a in enumerate(d) if not 0 <= a <= i)
+        raise InvalidDigit(f"digit {a} at index {i} outside 0..{i}")
     return d
 
 
 def _validate_prefix(entries: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(operator.index(x) for x in entries)
+    p = tuple(map(operator.index, entries))
     if not p:
         raise PrefixTooShort("empty prefix")
-    if any(x < 0 for x in p):
+    if min(p) < 0:
         raise NotAPermutation(f"negative entry in {p}")
     if len(set(p)) != len(p):
         raise DuplicateEntry(f"repeated entry in {p}")
@@ -98,15 +107,14 @@ def _validate_prefix(entries: Sequence[int]) -> tuple[int, ...]:
 
 
 def _validate_complete(entries: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(operator.index(x) for x in entries)
+    p = tuple(map(operator.index, entries))
     if not p:
         raise NotAPermutation("empty sequence; the identity is written as (0,)")
     s = len(p)
-    seen = [False] * s
-    for x in p:
-        if not 0 <= x < s or seen[x]:
-            raise NotAPermutation(f"{p} is not a permutation of 0..{s - 1}")
-        seen[x] = True
+    # one sorted list, not sets: at s = 10^5, set(p) == set(range(s)) raised
+    # a round trip's peak RSS by 9 MB
+    if sorted(p) != list(range(s)):
+        raise NotAPermutation(f"{p} is not a permutation of 0..{s - 1}")
     return p
 
 
@@ -279,12 +287,16 @@ def digits_from_integer(n: int, length: int | None = None) -> tuple[int, ...]:
     return tuple(out) + (0,) * (length - len(out))
 
 
-def integer_from_digits(digits: Sequence[int]) -> int:
-    """Evaluate sum a_i * i! for a factorial-base digit sequence."""
-    d = _validate_digits(digits)
+def _integer(d: Sequence[int]) -> int:
+    """Kernel of :func:`integer_from_digits`, for valid digits."""
     tree: dict = {}
     _weights(0, len(d), tree, whole=False)
     return _combine(d, 0, len(d), tree)
+
+
+def integer_from_digits(digits: Sequence[int]) -> int:
+    """Evaluate sum a_i * i! for a factorial-base digit sequence."""
+    return _integer(_validate_digits(digits))
 
 
 def minimal_prefix_length(n: int) -> int:
@@ -298,6 +310,57 @@ def minimal_prefix_length(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # digits <-> permutation
+#
+# Both directions walk the positions from the right over a pool of the
+# values not yet placed (or read), in increasing order.  Digits -> permutation
+# takes the value at index j - d[j] out of the pool; permutation -> digits
+# finds entry j's index i in the pool and takes it out, and j - i values
+# above it are the earlier larger entries.  Up to _BIG_PERM positions the
+# pool is a list; above, a Fenwick tree does each step in O(log s).
+
+def _permutation(d: Sequence[int]) -> tuple[int, ...]:
+    """Kernel of :func:`permutation_from_digits`, for valid digits."""
+    s = len(d)
+    if s <= _BIG_PERM:
+        pool = list(range(s))
+        out = list(map(pool.pop, map(operator.sub, range(s - 1, -1, -1), reversed(d))))
+        out.reverse()
+        return tuple(out)
+    pool = FenwickTree(s)
+    out = [0] * s
+    for j in range(s - 1, -1, -1):
+        v = out[j] = pool.select(j - d[j])
+        pool.remove(v)
+    return tuple(out)
+
+
+def _counts(p: Sequence[int]) -> list[int]:
+    """counts[j] = #{i < j : p[i] > p[j]} for a permutation p of 0..s-1."""
+    s = len(p)
+    counts = [0] * s
+    if s <= _BIG_PERM:
+        pool = list(range(s))
+        for j in range(s - 1, -1, -1):
+            i = bisect_left(pool, p[j])
+            counts[j] = j - i
+            del pool[i]
+    else:
+        pool = FenwickTree(s)
+        for j in range(s - 1, -1, -1):
+            v = p[j]
+            counts[j] = j + 1 - pool.count_le(v)
+            pool.remove(v)
+    return counts
+
+
+def _ranks(p: Sequence[int]) -> Sequence[int]:
+    """Distinct non-negative entries relabelled 0..s-1 in the same order;
+    p itself when it already is a permutation of 0..s-1."""
+    if max(p, default=-1) < len(p):
+        return p
+    rank = dict(zip(sorted(p), range(len(p))))
+    return list(map(rank.__getitem__, p))
+
 
 def permutation_from_digits(digits: Sequence[int]) -> tuple[int, ...]:
     """Permutation of {0..s-1} whose digit sequence is ``digits``.
@@ -306,42 +369,8 @@ def permutation_from_digits(digits: Sequence[int]) -> tuple[int, ...]:
     with exactly digits[j] unused values above it.
     """
     d = _validate_digits(digits)
-    s = len(d)
-    _check_cap(s)
-    out = [0] * s
-    if s <= _BIG_PERM:
-        pool = list(range(s))
-        for j in range(s - 1, -1, -1):
-            out[j] = pool.pop(j - d[j])
-    else:
-        pool = FenwickTree(s, ones=True)
-        for j in range(s - 1, -1, -1):
-            v = pool.select(j - d[j])
-            out[j] = v
-            pool.add(v, -1)
-    return tuple(out)
-
-
-def _count_earlier_larger(p: Sequence[int]) -> list[int]:
-    """counts[j] = #{i < j : p[i] > p[j]} for a duplicate-free sequence."""
-    s = len(p)
-    counts = [0] * s
-    if s <= _BIG_PERM:
-        seen: list[int] = []
-        for j, v in enumerate(p):
-            idx = bisect_left(seen, v)
-            counts[j] = j - idx
-            insort(seen, v)
-    else:
-        order = sorted(range(s), key=p.__getitem__)
-        rank = [0] * s
-        for r, idx in enumerate(order):
-            rank[idx] = r
-        tree = FenwickTree(s)
-        for j in range(s):
-            counts[j] = j - tree.count_le(rank[j])
-            tree.add(rank[j])
-    return counts
+    _check_cap(len(d))
+    return _permutation(d)
 
 
 def digits_from_permutation(entries: Sequence[int]) -> tuple[int, ...]:
@@ -350,8 +379,7 @@ def digits_from_permutation(entries: Sequence[int]) -> tuple[int, ...]:
     Works for any sequence of distinct non-negative integers; when the input
     is a permutation of {0..s-1} this inverts :func:`permutation_from_digits`.
     """
-    p = _validate_prefix(entries)
-    return tuple(_count_earlier_larger(p))
+    return tuple(_counts(_ranks(_validate_prefix(entries))))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +392,7 @@ def encode(n: int, length: int | None = None) -> tuple[int, ...]:
     passing ``length`` pads with trailing fixed points, and requires
     n < length!.
     """
-    return permutation_from_digits(digits_from_integer(n, length))
+    return _permutation(digits_from_integer(n, length))
 
 
 def decode(entries: Sequence[int]) -> int:
@@ -372,8 +400,7 @@ def decode(entries: Sequence[int]) -> int:
 
     Inverse of :func:`encode`; padded writings decode to the same integer.
     """
-    p = _validate_complete(entries)
-    return integer_from_digits(tuple(_count_earlier_larger(p)))
+    return _integer(_counts(_validate_complete(entries)))
 
 
 def minimal_form(entries: Sequence[int]) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .core import _count_earlier_larger, _validate_prefix
+from .core import _counts, _ranks, _validate_prefix
 
 
 class InversionSet:
@@ -28,12 +28,7 @@ class InversionSet:
     __slots__ = ("_ranks",)
 
     def __init__(self, prefix: Sequence[int]):
-        p = _validate_prefix(prefix)
-        order = sorted(range(len(p)), key=p.__getitem__)
-        ranks = [0] * len(p)
-        for r, idx in enumerate(order):
-            ranks[idx] = r
-        self._ranks = tuple(ranks)
+        self._ranks = tuple(_ranks(_validate_prefix(prefix)))
 
     @property
     def size(self) -> int:
@@ -63,7 +58,7 @@ class InversionSet:
 
     def counts_by_larger(self) -> tuple[int, ...]:
         """c_j = sum_{i<j} inv(i, j), grouped by the larger index of each pair."""
-        return tuple(_count_earlier_larger(self._ranks))
+        return tuple(_counts(self._ranks))
 
     def count(self) -> int:
         """Total number of 1-pairs."""

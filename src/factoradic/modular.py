@@ -19,7 +19,7 @@ import operator
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .core import _check_count, _count_earlier_larger, _log2_factorial, _validate_prefix
+from .core import _check_cap, _check_count, _counts, _log2_factorial, _ranks, _validate_prefix
 from .core import digits_from_integer, encode
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet, inversion_set
@@ -52,7 +52,7 @@ def _prefix_sum(prefix: Sequence[int], need: int, weights: Sequence[int], k: int
     if len(entries) < need:
         raise PrefixTooShort(f"need a {need}-prefix, got {len(entries)} entries")
     head = _validate_prefix(entries[:need])
-    return _weighted_sum(_count_earlier_larger(head[: len(weights)]), weights, k)
+    return _weighted_sum(_counts(_ranks(head[: len(weights)])), weights, k)
 
 
 def kempner(k: int) -> int:
@@ -101,6 +101,7 @@ def prefix_inversions(n: int, s: int) -> InversionSet:
     s = operator.index(s)
     if s < 1:
         raise PrefixTooShort(f"prefix length must be >= 1, got {s}")
+    _check_cap(s)
     return inversion_set(encode(n % factorial(s), s))
 
 

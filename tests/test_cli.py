@@ -167,6 +167,31 @@ def test_bench_small(capsys):
     assert set(obj["seconds"]) == {"encode", "decode", "inversion_count"}
 
 
+def test_bench_size_cap_comes_first(capsys):
+    # refused before (2e6)! is computed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bench", "--size", "2000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("primes", [False, True])
+def test_table_json_matches_one_dumps(capsys, primes):
+    flag = ["--primes"] if primes else []
+    for kmax in range(2, 61):
+        code, out, _ = run_cli(capsys, "table", str(kmax), "--format", "json", *flag)
+        rules = cli.rule_table(kmax, primes_only=primes)
+        assert (code, out) == (0, json.dumps([r.to_json_obj() for r in rules]) + "\n")
+
+
+def test_table_json_refuses_before_writing(capsys):
+    # the rule for 1423 lists too many pairs; no partial array is written
+    code, out, err = run_cli(capsys, "table", "1423", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_malformed_input_exits_1(capsys):
     assert run_cli(capsys, "encode", "-5")[0] == 1
     assert run_cli(capsys, "decode", "(1, 1)")[0] == 1

@@ -1,5 +1,6 @@
 """Codec unit tests: integer <-> digits <-> permutation, ordering, text forms."""
 
+import collections
 import itertools
 import random
 from math import factorial
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from factoradic import (
     DuplicateEntry,
     InvalidDigit,
+    ModulusZero,
     NotAPermutation,
     ParseError,
     PrefixTooShort,
@@ -23,12 +25,15 @@ from factoradic import (
     encode,
     format_permutation,
     integer_from_digits,
+    inversion_set,
     minimal_form,
     minimal_prefix_length,
     parse_permutation,
     permutation_from_digits,
+    residue_from_prefix,
 )
 import factoradic.core as core
+from factoradic.reference import inversions_bruteforce, nth_permutation_bruteforce
 
 from golden import GOLDEN_24
 
@@ -170,17 +175,108 @@ def test_order_isomorphism_below_120():
 
 
 # ---------------------------------------------------------------------------
+# the list and Fenwick permutation kernels; patching _BIG_PERM to one of these
+# runs the Fenwick tree, or the list, at every size
+
+KERNELS = (0, 10**9)
+both_kernels = pytest.mark.parametrize("big_perm", KERNELS, ids=("fenwick", "list"))
+
+
+def _column_sums(prefix):
+    pairs = inversions_bruteforce(prefix)
+    return tuple(sum(1 for _, j in pairs if j == col) for col in range(len(prefix)))
+
+
+@both_kernels
+@settings(deadline=None)  # the first example at each s enumerates all s! permutations
+@given(st.integers(1, 7).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, factorial(s) - 1))))
+def test_kernels_match_enumeration(big_perm, case):
+    s, n = case
+    want = nth_permutation_bruteforce(n, s)
+    with patch.object(core, "_BIG_PERM", big_perm):
+        d = digits_from_integer(n, s)
+        assert permutation_from_digits(d) == want
+        assert encode(n, s) == want
+        assert digits_from_permutation(want) == d
+        assert decode(want) == n
+
+
+@both_kernels
+@given(st.integers(1, 60).flatmap(lambda s: st.permutations(range(s))))
+def test_kernels_match_double_loop(big_perm, p):
+    want = _column_sums(p)
+    with patch.object(core, "_BIG_PERM", big_perm):
+        assert digits_from_permutation(p) == want
+        assert permutation_from_digits(want) == tuple(p)
+        assert decode(p) == integer_from_digits(want)
+
+
+@both_kernels
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True))
+def test_kernels_on_non_contiguous_prefixes(big_perm, prefix):
+    with patch.object(core, "_BIG_PERM", big_perm):
+        assert digits_from_permutation(prefix) == _column_sums(prefix)
+
+
+@both_kernels
+def test_non_contiguous_prefix_examples(big_perm):
+    with patch.object(core, "_BIG_PERM", big_perm):
+        assert digits_from_permutation((5, 900, 2)) == (0, 0, 2)
+        assert digits_from_permutation((9, 4)) == (0, 1)
+        assert digits_from_permutation((10**30, 0, 7)) == (0, 1, 1)
+
+
+@pytest.mark.parametrize("s", [core._BIG_PERM, core._BIG_PERM + 1], ids=("list", "fenwick"))
+def test_kernels_agree_at_the_crossover(s):
+    rng = random.Random(s)
+    p = list(range(s))
+    rng.shuffle(p)
+    d = digits_from_permutation(p)
+    assert permutation_from_digits(d) == tuple(p)
+    other = 0 if s <= core._BIG_PERM else 10**9
+    with patch.object(core, "_BIG_PERM", other):
+        assert digits_from_permutation(p) == d
+        assert permutation_from_digits(d) == tuple(p)
+
+
+def test_validation_runs_once_per_public_call(monkeypatch):
+    calls = collections.Counter()
+    for name in ("_validate_digits", "_validate_prefix", "_validate_complete"):
+        def counting(entries, _name=name, _check=getattr(core, name)):
+            calls[_name] += 1
+            return _check(entries)
+        monkeypatch.setattr(core, name, counting)
+
+    def count(call, *args):
+        calls.clear()
+        call(*args)
+        return dict(calls)
+
+    n = 10**100 - 7
+    p = encode(n)
+    assert count(encode, n) == {}
+    assert count(encode, n, len(p) + 5) == {}
+    assert count(decode, p) == {"_validate_complete": 1}
+    d = digits_from_integer(n)
+    assert count(permutation_from_digits, d) == {"_validate_digits": 1}
+    assert count(integer_from_digits, d) == {"_validate_digits": 1}
+    assert count(digits_from_permutation, p) == {"_validate_prefix": 1}
+
+
+# ---------------------------------------------------------------------------
 # large-input code paths agree with the simple ones
 
 def test_large_permutation_paths_match_small():
     rng = random.Random(7)
-    s = 700  # above the Fenwick switchover
+    s = 700
     p = list(range(s))
     rng.shuffle(p)
-    d = digits_from_permutation(p)
     brute = tuple(sum(p[i] > p[j] for i in range(j)) for j in range(s))
-    assert d == brute
-    assert permutation_from_digits(d) == tuple(p)
+    for big_perm in KERNELS:
+        with patch.object(core, "_BIG_PERM", big_perm):
+            d = digits_from_permutation(p)
+            assert d == brute
+            assert permutation_from_digits(d) == tuple(p)
 
 
 def _digits_by_divmod(n):
@@ -326,6 +422,51 @@ def test_decode_requires_complete_permutation():
         decode(())
     with pytest.raises(NotAPermutation):
         decode((-1, 0))
+
+
+# error type and message of each public check, as they were before the
+# checks became single C-level passes
+BAD_INPUTS = [
+    (decode, ((1, 2),), NotAPermutation, "(1, 2) is not a permutation of 0..1"),
+    (decode, ((0, 0),), NotAPermutation, "(0, 0) is not a permutation of 0..1"),
+    (decode, ((),), NotAPermutation, "empty sequence; the identity is written as (0,)"),
+    (decode, ((-1, 0),), NotAPermutation, "(-1, 0) is not a permutation of 0..1"),
+    (decode, ((2, 0, 1, 3, 3),), NotAPermutation, "(2, 0, 1, 3, 3) is not a permutation of 0..4"),
+    (decode, ((0.5, 1),), TypeError, "'float' object cannot be interpreted as an integer"),
+    (decode, (5,), TypeError, "'int' object is not iterable"),
+    (permutation_from_digits, ((0, 2),), InvalidDigit, "digit 2 at index 1 outside 0..1"),
+    (permutation_from_digits, ((),), InvalidDigit, "empty digit sequence; zero is written as (0,)"),
+    (permutation_from_digits, ((0, 1, -1, 5),), InvalidDigit, "digit -1 at index 2 outside 0..2"),
+    (permutation_from_digits, ((0, 1, 2, 4, 9),), InvalidDigit, "digit 4 at index 3 outside 0..3"),
+    (permutation_from_digits, ((0, "1"),), TypeError, "'str' object cannot be interpreted as an integer"),
+    (integer_from_digits, ((),), InvalidDigit, "empty digit sequence; zero is written as (0,)"),
+    (integer_from_digits, ((1,),), InvalidDigit, "digit 1 at index 0 outside 0..0"),
+    (integer_from_digits, ((0, -1),), InvalidDigit, "digit -1 at index 1 outside 0..1"),
+    (integer_from_digits, ((0, 1, 3, 1),), InvalidDigit, "digit 3 at index 2 outside 0..2"),
+    (integer_from_digits, ((0, 1.0),), TypeError, "'float' object cannot be interpreted as an integer"),
+    (digits_from_permutation, ((),), PrefixTooShort, "empty prefix"),
+    (digits_from_permutation, ((5, 5),), DuplicateEntry, "repeated entry in (5, 5)"),
+    (digits_from_permutation, ((-2, 0),), NotAPermutation, "negative entry in (-2, 0)"),
+    (digits_from_permutation, ((-2, -2),), NotAPermutation, "negative entry in (-2, -2)"),
+    (digits_from_permutation, ((3, None),), TypeError, "'NoneType' object cannot be interpreted as an integer"),
+    (residue_from_prefix, ((1, 0), 3), PrefixTooShort, "need a 3-prefix, got 2 entries"),
+    (residue_from_prefix, ((1, 1, 0), 3), DuplicateEntry, "repeated entry in (1, 1, 0)"),
+    (residue_from_prefix, ((1, -1, 0), 3), NotAPermutation, "negative entry in (1, -1, 0)"),
+    (residue_from_prefix, ((4, 2, 0), 0), ModulusZero, "modulus must be >= 1, got 0"),
+    (residue_from_prefix, ((), 1), PrefixTooShort, "need a 1-prefix, got 0 entries"),
+    (inversion_set, ((),), PrefixTooShort, "empty prefix"),
+    (inversion_set, ((7, 3, 7),), DuplicateEntry, "repeated entry in (7, 3, 7)"),
+    (inversion_set, ((7, -3),), NotAPermutation, "negative entry in (7, -3)"),
+    (inversion_set, ((7, 2.5),), TypeError, "'float' object cannot be interpreted as an integer"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, message", BAD_INPUTS)
+def test_error_types_and_messages(call, args, error, message):
+    with pytest.raises(error) as info:
+        call(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_prefix_validation():

@@ -12,6 +12,7 @@ from factoradic import (
     DuplicateEntry,
     ModulusZero,
     PrefixTooShort,
+    RangeTooLarge,
     digits_from_permutation,
     divisible,
     encode,
@@ -86,6 +87,14 @@ def test_periodicity_in_the_modulus_factorial():
 
 def test_prefix_inversions_golden():
     assert prefix_inversions(16, 4).pair_set() == {(0, 2), (0, 3), (1, 2), (1, 3)}
+
+
+def test_prefix_inversions_cap_comes_first():
+    # refused before (1.5e6)! is computed, which alone takes over 20 s
+    start = time.perf_counter()
+    with pytest.raises(RangeTooLarge):
+        prefix_inversions(5, 1_500_000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_divisible_integer_and_prefix_forms():
