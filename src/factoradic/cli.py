@@ -15,7 +15,6 @@ Exit status: 0 on success, 1 with a one-line diagnostic on malformed input,
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from math import factorial
@@ -24,6 +23,8 @@ from time import perf_counter
 from . import __version__
 from .core import (
     _check_cap,
+    _format_decimal,
+    _parse_decimal,
     compare_factoradic,
     decode,
     digits_from_integer,
@@ -47,7 +48,12 @@ _ORDERING_WORDS = {-1: "precedes", 0: "equal", 1: "follows"}
 
 class _Parser(argparse.ArgumentParser):
     """Exits with status 1 on bad usage; argparse's default of 2 is reserved
-    for verification failures."""
+    for verification failures.  Every ``type=int`` argument parses through
+    :func:`_parse_decimal`; argparse still names the type "int" in errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, _parse_decimal)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -55,6 +61,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit_json(obj) -> None:
+    import json  # not at the top: plain output never needs it
+
     print(json.dumps(obj))
 
 
@@ -86,7 +94,7 @@ def _cmd_decode(args) -> int:
     if args.format == "json":
         _emit_json({"permutation": list(perm), "n": n})
     else:
-        print(n)
+        print(_format_decimal(n))
     return 0
 
 
@@ -134,6 +142,8 @@ def _cmd_rule(args) -> int:
 def _cmd_table(args) -> int:
     rules = rule_table(args.kmax, primes_only=args.primes)
     if args.format == "json":
+        import json
+
         # the text of _emit_json(list), one rule at a time: memory follows
         # the largest rule, not the table; every listing is checked first
         for r in rules:

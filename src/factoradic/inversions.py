@@ -12,7 +12,7 @@ c_j = sum_{i<j} inv(i, j) equals digit j of the integer the prefix encodes.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .core import _counts, _ranks, _validate_prefix
 
@@ -29,6 +29,13 @@ class InversionSet:
 
     def __init__(self, prefix: Sequence[int]):
         self._ranks = tuple(_ranks(_validate_prefix(prefix)))
+
+    @classmethod
+    def _of_permutation(cls, p: tuple[int, ...]) -> InversionSet:
+        """Unchecked: p, a permutation of 0..s-1, is its own rank sequence."""
+        inv = cls.__new__(cls)
+        inv._ranks = p
+        return inv
 
     @property
     def size(self) -> int:

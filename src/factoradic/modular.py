@@ -16,13 +16,13 @@ to an S(k)-entry computation.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Iterator, Sequence
 from math import factorial
-from typing import Iterable, Iterator, Sequence
 
 from .core import _check_cap, _check_count, _counts, _log2_factorial, _ranks, _validate_prefix
 from .core import digits_from_integer, encode
 from .errors import ModulusZero, PrefixTooShort
-from .inversions import InversionSet, inversion_set
+from .inversions import InversionSet
 
 
 def _check_modulus(k) -> int:
@@ -95,14 +95,18 @@ def residue(n: int, k: int) -> int:
 def prefix_inversions(n: int, s: int) -> InversionSet:
     """Inversion set of the s-prefix of n's permutation writing.
 
-    Periodic in n with period s!, so n is reduced mod s! before encoding.
+    Periodic in n with period s!, so n is reduced mod s! before encoding,
+    when it may reach s!; s! is not computed for a smaller n.
     """
     n = _check_count(n)
     s = operator.index(s)
     if s < 1:
         raise PrefixTooShort(f"prefix length must be >= 1, got {s}")
     _check_cap(s)
-    return inversion_set(encode(n % factorial(s), s))
+    # one bit of margin over the rounding of lgamma, as in residue
+    if _log2_factorial(s) <= n.bit_length() + 1:
+        n %= factorial(s)
+    return InversionSet._of_permutation(encode(n, s))
 
 
 def divisible(n_or_prefix, k: int) -> bool:

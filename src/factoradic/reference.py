@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from functools import cmp_to_key, lru_cache
 from math import factorial
-from typing import Sequence
 
 from .core import compare_factoradic, decode, encode
 from .errors import ModulusZero, PrefixTooShort, RangeTooLarge

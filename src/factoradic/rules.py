@@ -13,11 +13,9 @@ that share a coefficient.  For k = 6 only three pairs survive:
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import isqrt
-from typing import Sequence
 
 from . import core
 from .errors import ModulusTooSmall, PrefixTooShort, RangeTooLarge
@@ -26,12 +24,39 @@ from .modular import _factorials_mod, _prefix_sum
 _FORMATS = ("plain", "latex", "json")
 
 
-@dataclass(frozen=True)
 class DivisibilityRule:
-    """Rule for one modulus: coefficients[j] is j! mod k, balanced, for j < S(k)."""
+    """Rule for one modulus: coefficients[j] is j! mod k, balanced, for j < S(k).
 
-    modulus: int
-    coefficients: tuple[int, ...]
+    Immutable: assigning a field raises ``AttributeError``.
+    """
+
+    __slots__ = ("modulus", "coefficients")
+    __match_args__ = __slots__
+
+    def __init__(self, modulus: int, coefficients: tuple[int, ...]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, as __setattr__ refuses
+        return self.__class__, (self.modulus, self.coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.modulus, self.coefficients) == (other.modulus, other.coefficients)
+
+    def __hash__(self):
+        return hash((self.modulus, self.coefficients))
+
+    def __repr__(self):
+        return f"DivisibilityRule(modulus={self.modulus!r}, coefficients={self.coefficients!r})"
 
     @property
     def effective_length(self) -> int:
@@ -121,6 +146,8 @@ def render_rule(rule: DivisibilityRule, fmt: str = "plain") -> str:
             rule, lambda i, j: f"\\inv{{{i}, {j}}}", "\\left(", "\\right)"
         )
     if fmt == "json":
+        import json  # not at the top: plain and latex never need it
+
         return json.dumps(rule.to_json_obj())
     raise ValueError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 

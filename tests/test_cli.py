@@ -9,6 +9,7 @@ import time
 import pytest
 
 import factoradic.cli as cli
+from factoradic import encode, format_permutation
 from factoradic.cli import main
 
 from golden import RULE_RENDERINGS
@@ -242,3 +243,74 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("factoradic ")
+
+
+def _usage_error(command, usage_tail):
+    return (
+        f"usage: factoradic {command} [-h] {usage_tail}\n"
+        f"factoradic {command}: error: argument n: invalid int value: '12x'\n"
+    )
+
+
+# Decimal text other than plain ASCII digits goes to int() as it always did;
+# expected stdout, stderr and exit status are those of the earlier CLI
+NON_PLAIN_DECIMALS = [
+    (["encode", " 12"], 0, "(0, 2, 3, 1)\n", ""),
+    (["encode", "+7"], 0, "(1, 0, 3, 2)\n", ""),
+    (["encode", "1_000"], 0, "(2, 6, 0, 1, 4, 3, 5)\n", ""),
+    (["encode", "\u0661\u0662"], 0, "(0, 2, 3, 1)\n", ""),
+    (["digits", " 12"], 0, "(0, 0, 0, 2)\n", ""),
+    (["digits", "+7"], 0, "(0, 1, 0, 1)\n", ""),
+    (["digits", "1_000"], 0, "(0, 0, 2, 2, 1, 2, 1)\n", ""),
+    (["digits", "\u0661\u0662"], 0, "(0, 0, 0, 2)\n", ""),
+    (["mod", " 12", "7"], 0, "5\n", ""),
+    (["mod", "+7", "7"], 0, "0\n", ""),
+    (["mod", "1_000", "7"], 0, "6\n", ""),
+    (["mod", "\u0661\u0662", "7"], 0, "5\n", ""),
+    (["encode", "-5"], 1, "", "error: expected a non-negative integer, got -5\n"),
+    (["digits", "-5"], 1, "", "error: expected a non-negative integer, got -5\n"),
+    (["mod", "-5", "7"], 1, "", "error: expected a non-negative integer, got -5\n"),
+    (["encode", "12x"], 1, "", _usage_error("encode", "[--len LEN] [--format {plain,json}] n")),
+    (["digits", "12x"], 1, "", _usage_error("digits", "[--len LEN] [--format {plain,json}] n")),
+    (["mod", "12x", "7"], 1, "", _usage_error("mod", "[--check] [--format {plain,json}] n k")),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", NON_PLAIN_DECIMALS)
+def test_non_plain_decimal_text(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+def test_long_decimal_round_trip(capsys, monkeypatch):
+    # 5,001 digits, with a zero run across a split: above the 4300-digit
+    # int/str limit and more than twice the split cutoff
+    n = 3 * 10**5000 + 10**2000 + 7
+    seen = []
+    for name in ("_parse_decimal", "_format_decimal"):
+        def spy(x, _name=name, _f=getattr(cli, name)):
+            seen.append(_name)
+            return _f(x)
+        monkeypatch.setattr(cli, name, spy)
+    code, perm, _ = run_cli(capsys, "encode", str(n))
+    assert code == 0
+    assert perm == f"{format_permutation(encode(n))}\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(perm))
+    code, out, _ = run_cli(capsys, "decode")
+    assert (code, out) == (0, f"{n}\n")
+    assert seen == ["_parse_decimal", "_format_decimal"]
+
+
+def test_import_loads_no_dataclasses_inspect_json_or_typing():
+    # what the package import adds; plain output needs none of the three
+    code = (
+        "import sys; before = set(sys.modules); "
+        "import factoradic, factoradic.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json', 'typing'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

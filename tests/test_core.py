@@ -3,6 +3,8 @@
 import collections
 import itertools
 import random
+import re
+import sys
 from math import factorial
 from unittest.mock import patch
 
@@ -30,9 +32,12 @@ from factoradic import (
     minimal_prefix_length,
     parse_permutation,
     permutation_from_digits,
+    prefix_inversions,
     residue_from_prefix,
 )
 import factoradic.core as core
+import factoradic.inversions as inversions
+import factoradic.modular as modular
 from factoradic.reference import inversions_bruteforce, nth_permutation_bruteforce
 
 from golden import GOLDEN_24
@@ -245,7 +250,10 @@ def test_validation_runs_once_per_public_call(monkeypatch):
         def counting(entries, _name=name, _check=getattr(core, name)):
             calls[_name] += 1
             return _check(entries)
-        monkeypatch.setattr(core, name, counting)
+        # also where another module imported the validator by name
+        for module in (core, inversions, modular):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
 
     def count(call, *args):
         calls.clear()
@@ -261,6 +269,8 @@ def test_validation_runs_once_per_public_call(monkeypatch):
     assert count(permutation_from_digits, d) == {"_validate_digits": 1}
     assert count(integer_from_digits, d) == {"_validate_digits": 1}
     assert count(digits_from_permutation, p) == {"_validate_prefix": 1}
+    assert count(inversion_set, p) == {"_validate_prefix": 1}
+    assert count(prefix_inversions, n, len(p) + 5) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +374,77 @@ def test_divmod_straddles_the_real_cutoff():
         for a_bits in (b_bits + cut, b_bits + cut + 1, 2 * b_bits, 5 * b_bits + 7):
             a = rng.getrandbits(a_bits)
             assert core._divmod(a, b) == divmod(a, b)
+
+
+# ---------------------------------------------------------------------------
+# decimal text split at powers of ten, with the builtin int and str as the
+# reference; a low cutoff sends short text through every level of the split
+
+@settings(max_examples=300)
+@given(st.sampled_from([1, 2, 7]), st.text("0123456789", min_size=1, max_size=200))
+def test_parse_decimal_matches_int(cutoff, text):
+    with patch.object(core, "_DEC_CUTOFF", cutoff):
+        assert core._parse_decimal(text) == int(text)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([1, 2, 7]), st.integers(0, 10**200))
+def test_format_decimal_matches_str(cutoff, n):
+    with patch.object(core, "_DEC_CUTOFF", cutoff):
+        assert core._format_decimal(n) == str(n)
+        assert core._parse_decimal(str(n)) == n
+
+
+@pytest.fixture
+def unlimited_int_text():
+    """Lift CPython's 4300-digit int/str limit, as the CLI does, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_decimal_straddles_the_real_cutoff(unlimited_int_text):
+    rng = random.Random(6)
+    cut = core._DEC_CUTOFF
+    for length in (cut - 1, cut, cut + 1, 2 * cut, 2 * cut + 1, 5 * cut + 7):
+        text = rng.choice("123456789") + "".join(rng.choices("0123456789", k=length - 1))
+        n = int(text)
+        assert core._parse_decimal(text) == n
+        assert core._parse_decimal("000" + text) == n
+        assert core._format_decimal(n) == text
+
+
+@pytest.mark.parametrize("cutoff", [3, None])
+def test_long_non_plain_decimal_text_goes_to_int(cutoff, unlimited_int_text):
+    # int() quotes at most 200 characters of bad text, so a low cutoff is
+    # what lets a split show in the error message
+    cut = cutoff or core._DEC_CUTOFF
+    texts = ["\u0661" * (cut + 1), "\u00b2" + "1" * cut, " " + "1" * cut, "+" + "1" * cut, "1_" * cut]
+    with patch.object(core, "_DEC_CUTOFF", cut):
+        for text in texts:
+            try:
+                want = int(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    core._parse_decimal(text)
+            else:
+                assert core._parse_decimal(text) == want
+
+
+@pytest.mark.parametrize("cutoff", [3, None])
+def test_decimal_low_halves_keep_their_zeros(cutoff, unlimited_int_text):
+    cut = cutoff or core._DEC_CUTOFF
+    with patch.object(core, "_DEC_CUTOFF", cut):
+        for k in (cut, cut + 1, 2 * cut, 4 * cut + 3, 9 * cut):
+            for n in (10**k, 10**k - 1, 10**k + 1, 7 * 10**k + 3, (10**k + 1) * 10**k):
+                assert core._format_decimal(n) == str(n)
+                assert core._parse_decimal(str(n)) == n
+            assert core._parse_decimal("0" * k) == 0
+            assert core._format_decimal(0) == "0"
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ from factoradic import (
     digits_from_permutation,
     divisible,
     encode,
+    inversion_set,
     kempner,
     prefix_inversions,
     residue,
     residue_from_prefix,
 )
+import factoradic.modular as modular
 from factoradic.rules import _is_prime
 
 
@@ -87,6 +89,15 @@ def test_periodicity_in_the_modulus_factorial():
 
 def test_prefix_inversions_golden():
     assert prefix_inversions(16, 4).pair_set() == {(0, 2), (0, 3), (1, 2), (1, 3)}
+
+
+def test_prefix_inversions_skips_the_factorial_when_n_is_below_it(monkeypatch):
+    # 5 < 5000! already; before, 5000! was computed to reduce 5 mod it
+    def refuse(s):
+        raise AssertionError(f"factorial({s}) computed")
+    monkeypatch.setattr(modular, "factorial", refuse)
+    assert prefix_inversions(5, 5000) == inversion_set(encode(5, 5000))
+    assert prefix_inversions(5, 5000).count() == 3  # 5 = 2*2! + 1*1!
 
 
 def test_prefix_inversions_cap_comes_first():

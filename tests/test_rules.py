@@ -1,6 +1,8 @@
 """Divisibility-rule unit tests: term generation, evaluation, rendering."""
 
+import copy
 import json
+import pickle
 import time
 from math import factorial
 
@@ -127,6 +129,30 @@ def test_rule_stores_one_coefficient_per_column():
     assert rule == DivisibilityRule(6, (1, 1, 2))
     big = generate_rule(3001)  # prime: S(3001) = 3001 columns, 4.5M pairs
     assert big.effective_length == len(big.coefficients) == 3001
+
+
+def test_rule_value_semantics():
+    rule = generate_rule(6)
+    assert repr(rule) == "DivisibilityRule(modulus=6, coefficients=(1, 1, 2))"
+    twin = DivisibilityRule(6, (1, 1, 2))
+    assert rule == twin and hash(rule) == hash(twin)
+    assert rule != DivisibilityRule(6, (1, 1, -2)) and rule != (6, (1, 1, 2))
+    assert len({rule, twin, generate_rule(7)}) == 2
+    for change in (
+        lambda: setattr(rule, "modulus", 7),
+        lambda: setattr(rule, "other", 1),
+        lambda: delattr(rule, "coefficients"),
+    ):
+        with pytest.raises(AttributeError):
+            change()
+    assert rule == twin
+    for clone in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
+        assert clone == rule
+    match rule:
+        case DivisibilityRule(k, (1, 1, c)):
+            assert (k, c) == (6, 2)
+        case _:
+            pytest.fail("positional pattern did not match")
 
 
 def test_listing_refused_past_the_cap():
