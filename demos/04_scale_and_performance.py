@@ -3,14 +3,15 @@
 Interesting inputs are astronomically large: an integer with 10^5
 factorial-base digits has about 456,000 decimal digits.  The conversion
 splits the factorial base with a product tree whose divisions recurse down
-to multiplications, and places and counts entries with a Fenwick tree
-above 45,000 entries (so inversion counting is O(s log s)) and a plain list
-below; this script times the full pipeline in both directions.
+to multiplications, and places and counts entries in a pool of unused
+values: one list up to 10,240 entries, and above that lists of 10,240
+consecutive values, so no step moves more than 10,240 entries; this
+script times the full pipeline in both directions.
 
 What to expect at s = 10^5, from the benchmark's traced codec_large run on
-a 2-vCPU x86-64 VM: encode about 1.0 s and decode about 0.6 s on CPython
-3.11.7, 1.3 s and 0.8 s on 3.13.0.  Integer -> digits is the largest part
-of encode (0.61 s on 3.11.7, 0.77 s on 3.13.0).
+a 2-vCPU x86-64 VM: encode about 0.8 s and decode about 0.7 s on CPython
+3.11.7, 1.0 s and 0.85 s on 3.13.0.  Integer -> digits is the largest part
+of encode (0.63 s on 3.11.7, 0.81 s on 3.13.0).
 """
 
 from math import factorial

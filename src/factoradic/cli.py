@@ -60,10 +60,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit_json(obj) -> None:
+def _emit_json(obj: dict) -> None:
+    """Print the text of ``json.dumps(obj)``, with the integer "n" printed by
+    :func:`_format_decimal`: json's own int -> text is quadratic up to
+    CPython 3.11."""
     import json  # not at the top: plain output never needs it
 
-    print(json.dumps(obj))
+    items = (
+        f"{json.dumps(key)}: {_format_decimal(value) if key == 'n' else json.dumps(value)}"
+        for key, value in obj.items()
+    )
+    print("{" + ", ".join(items) + "}")
 
 
 def _perm_arg(text: str) -> tuple[int, ...]:

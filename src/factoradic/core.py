@@ -24,7 +24,6 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from math import factorial, lgamma, log, log2, log10, prod
 
-from ._fenwick import FenwickTree
 from .errors import (
     DuplicateEntry,
     InvalidDigit,
@@ -41,15 +40,19 @@ MAX_PREFIX_LENGTH = 10**6
 
 # The crossovers below are timeit minima on CPython 3.11.7 (2 vCPU x86-64).
 #
-# Permutations of up to this many entries take the list kernels; longer ones
-# the Fenwick tree.  List against Fenwick, ms, random permutations:
-#   s                       10,000   30,000   40,000   50,000   55,000
-#   digits -> permutation   4.1/26   52/82    95/124   138/148  161/151
-#   permutation -> digits   8.9/18   63/61    113/98   162/106  191/108
-# so the two directions cross near 55,000 and 30,000.  One of each, as in a
-# round trip, crosses near 45,000 (40,000: 208 vs 222; 50,000: 300 vs 253).
-# (CPython 3.13.0: near 90,000 and 50,000, and 65,000 for a round trip.)
-_BIG_PERM = 45_000
+# Permutations of up to this many entries take the one-list kernels; longer
+# ones cut the pool into blocks of this many values.  _permutation plus
+# _counts, ms, random permutations, one list against blocks of B values:
+#   s            10,241  12,289  14,000  20,000  30,000  45,000  100,000
+#   one list       12.2    18.0    28.1    41.1    89.7     197     1040
+#   B = 8,192      13.4    17.2    25.9    25.6    43.5    83.0      274
+#   B = 10,240     15.1    18.6    27.0    28.1    47.0    87.5      277
+#   B = 16,384        -       -       -    33.3    56.2     101      303
+# Just above B the blocks lose (by 24% at 10,241, 3% at 12,289); 10,240
+# keeps s = 10^4 on the list and is within 10% of 8,192 from 20,000 up.
+# (CPython 3.10.13 and 3.13.0: 10,240 is within 10% of the best size tried
+# from 25,000 up; 3.10 loses 47% at 10,241 and 6% at 14,000.)
+_BIG_PERM = 10_240
 # Integers up to this many bits take the simple divmod loop; above, the
 # product tree.  1,024 bits: loop 40 us, tree 41 us; 1,280 bits: 53 vs 49.
 _BIG_BITS = 1024
@@ -325,7 +328,16 @@ def minimal_prefix_length(n: int) -> int:
 # takes the value at index j - d[j] out of the pool; permutation -> digits
 # finds entry j's index i in the pool and takes it out, and j - i values
 # above it are the earlier larger entries.  Up to _BIG_PERM positions the
-# pool is a list; above, a Fenwick tree does each step in O(log s).
+# pool is one list.  Above, it is cut into lists of _BIG_PERM consecutive
+# values (the layout of sortedcontainers' SortedList), so each pop or del
+# moves at most _BIG_PERM entries: digits -> permutation walks the block
+# lengths to index j - d[j]; permutation -> digits finds value v in block
+# v // _BIG_PERM and adds the lengths of the blocks before it.
+
+def _blocks(s: int) -> list[list[int]]:
+    """The pool 0..s-1 as lists of _BIG_PERM consecutive values."""
+    return [list(range(lo, min(lo + _BIG_PERM, s))) for lo in range(0, s, _BIG_PERM)]
+
 
 def _permutation(d: Sequence[int]) -> tuple[int, ...]:
     """Kernel of :func:`permutation_from_digits`, for valid digits."""
@@ -335,11 +347,15 @@ def _permutation(d: Sequence[int]) -> tuple[int, ...]:
         out = list(map(pool.pop, map(operator.sub, range(s - 1, -1, -1), reversed(d))))
         out.reverse()
         return tuple(out)
-    pool = FenwickTree(s)
+    blocks = _blocks(s)
     out = [0] * s
     for j in range(s - 1, -1, -1):
-        v = out[j] = pool.select(j - d[j])
-        pool.remove(v)
+        i = j - d[j]
+        for block in blocks:
+            if i < len(block):
+                break
+            i -= len(block)
+        out[j] = block.pop(i)
     return tuple(out)
 
 
@@ -354,11 +370,17 @@ def _counts(p: Sequence[int]) -> list[int]:
             counts[j] = j - i
             del pool[i]
     else:
-        pool = FenwickTree(s)
+        blocks = _blocks(s)
         for j in range(s - 1, -1, -1):
             v = p[j]
-            counts[j] = j + 1 - pool.count_le(v)
-            pool.remove(v)
+            block = blocks[v // _BIG_PERM]
+            i = bisect_left(block, v)
+            del block[i]
+            for earlier in blocks:
+                if earlier is block:
+                    break
+                i += len(earlier)
+            counts[j] = j - i
     return counts
 
 

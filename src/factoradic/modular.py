@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
 from math import factorial
 
 from .core import _check_cap, _check_count, _counts, _log2_factorial, _ranks, _validate_prefix
@@ -46,12 +47,13 @@ def _weighted_sum(counts: Iterable[int], weights: Iterable[int], k: int) -> int:
     return sum(map(operator.mul, counts, weights)) % k
 
 
-def _prefix_sum(prefix: Sequence[int], need: int, weights: Sequence[int], k: int) -> int:
-    """The weighted column sum of a prefix, which must have ``need`` valid entries."""
-    entries = tuple(prefix)
+def _prefix_sum(prefix: Iterable[int], need: int, weights: Sequence[int], k: int) -> int:
+    """The weighted column sum of a prefix, which must have ``need`` valid
+    entries; nothing past them is read."""
+    entries = tuple(islice(prefix, need))
     if len(entries) < need:
         raise PrefixTooShort(f"need a {need}-prefix, got {len(entries)} entries")
-    head = _validate_prefix(entries[:need])
+    head = _validate_prefix(entries)
     return _weighted_sum(_counts(_ranks(head[: len(weights)])), weights, k)
 
 

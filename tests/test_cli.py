@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import factoradic.cli as cli
-from factoradic import encode, format_permutation
+from factoradic import digits_from_integer, encode, format_permutation
 from factoradic.cli import main
 
 from golden import RULE_RENDERINGS
@@ -303,6 +304,39 @@ def test_long_decimal_round_trip(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "decode")
     assert (code, out) == (0, f"{n}\n")
     assert seen == ["_parse_decimal", "_format_decimal"]
+
+
+def _n_of_length(digits):
+    return random.Random(digits).randrange(10 ** (digits - 1), 10**digits)
+
+
+# n of 1, 2,000, 2,001, 5,001 and 10^5 digits, on both sides of the split
+# cutoff and past the 4300-digit int/str limit; then 10^k and 10^k - 1
+JSON_INTEGERS = {
+    **{f"{d}_digits": _n_of_length(d) for d in (1, 2000, 2001, 5001, 100_000)},
+    **{f"10^{k}{tail}": 10**k + c for k in (2000, 6000) for tail, c in (("", 0), ("-1", -1))},
+}
+
+
+@pytest.mark.parametrize("n", JSON_INTEGERS.values(), ids=JSON_INTEGERS.keys())
+def test_json_n_is_the_text_of_json_dumps(capsys, monkeypatch, n):
+    text = cli._format_decimal(n)
+    perm = list(encode(n))
+    calls = []
+    def spy(x, _f=cli._format_decimal):
+        calls.append(x)
+        return _f(x)
+    monkeypatch.setattr(cli, "_format_decimal", spy)
+    cases = [
+        (["encode", text], {"n": n, "permutation": perm}),
+        (["digits", text], {"n": n, "digits": list(digits_from_integer(n))}),
+        (["mod", text, "7"], {"n": n, "k": 7, "residue": n % 7}),
+        (["decode", format_permutation(perm)], {"permutation": perm, "n": n}),
+    ]
+    for argv, obj in cases:
+        got = run_cli(capsys, *argv, "--format", "json")
+        assert got == (0, json.dumps(obj) + "\n", "")
+    assert calls == [n] * 4  # one call per command, for the "n" field
 
 
 def test_import_loads_no_dataclasses_inspect_json_or_typing():

@@ -180,11 +180,14 @@ def test_order_isomorphism_below_120():
 
 
 # ---------------------------------------------------------------------------
-# the list and Fenwick permutation kernels; patching _BIG_PERM to one of these
-# runs the Fenwick tree, or the list, at every size
+# the permutation kernels; patching _BIG_PERM to one of these cuts every pool
+# of more than one value into blocks of 1, 2 or 3 values (every block
+# boundary, and a ragged last block), or keeps the one list at every size
 
-KERNELS = (0, 10**9)
-both_kernels = pytest.mark.parametrize("big_perm", KERNELS, ids=("fenwick", "list"))
+KERNELS = (1, 2, 3, 10**9)
+all_pools = pytest.mark.parametrize(
+    "big_perm", KERNELS, ids=("blocks_of_1", "blocks_of_2", "blocks_of_3", "list")
+)
 
 
 def _column_sums(prefix):
@@ -192,7 +195,7 @@ def _column_sums(prefix):
     return tuple(sum(1 for _, j in pairs if j == col) for col in range(len(prefix)))
 
 
-@both_kernels
+@all_pools
 @settings(deadline=None)  # the first example at each s enumerates all s! permutations
 @given(st.integers(1, 7).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, factorial(s) - 1))))
 def test_kernels_match_enumeration(big_perm, case):
@@ -206,7 +209,7 @@ def test_kernels_match_enumeration(big_perm, case):
         assert decode(want) == n
 
 
-@both_kernels
+@all_pools
 @given(st.integers(1, 60).flatmap(lambda s: st.permutations(range(s))))
 def test_kernels_match_double_loop(big_perm, p):
     want = _column_sums(p)
@@ -216,14 +219,14 @@ def test_kernels_match_double_loop(big_perm, p):
         assert decode(p) == integer_from_digits(want)
 
 
-@both_kernels
+@all_pools
 @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True))
 def test_kernels_on_non_contiguous_prefixes(big_perm, prefix):
     with patch.object(core, "_BIG_PERM", big_perm):
         assert digits_from_permutation(prefix) == _column_sums(prefix)
 
 
-@both_kernels
+@all_pools
 def test_non_contiguous_prefix_examples(big_perm):
     with patch.object(core, "_BIG_PERM", big_perm):
         assert digits_from_permutation((5, 900, 2)) == (0, 0, 2)
@@ -231,14 +234,19 @@ def test_non_contiguous_prefix_examples(big_perm):
         assert digits_from_permutation((10**30, 0, 7)) == (0, 1, 1)
 
 
-@pytest.mark.parametrize("s", [core._BIG_PERM, core._BIG_PERM + 1], ids=("list", "fenwick"))
+@pytest.mark.parametrize(
+    "s",
+    [core._BIG_PERM, core._BIG_PERM + 1, 2 * core._BIG_PERM + 1],
+    ids=("list", "two_blocks", "three_blocks"),
+)
 def test_kernels_agree_at_the_crossover(s):
     rng = random.Random(s)
     p = list(range(s))
     rng.shuffle(p)
     d = digits_from_permutation(p)
     assert permutation_from_digits(d) == tuple(p)
-    other = 0 if s <= core._BIG_PERM else 10**9
+    # the list case runs again as blocks of s // 3 values and a short last one
+    other = s // 3 if s <= core._BIG_PERM else 10**9
     with patch.object(core, "_BIG_PERM", other):
         assert digits_from_permutation(p) == d
         assert permutation_from_digits(d) == tuple(p)

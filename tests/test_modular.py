@@ -16,6 +16,8 @@ from factoradic import (
     digits_from_permutation,
     divisible,
     encode,
+    evaluate_rule,
+    generate_rule,
     inversion_set,
     kempner,
     prefix_inversions,
@@ -137,6 +139,28 @@ def test_duplicate_beyond_cutoff_is_still_rejected():
     # k = 6 only reads 3 entries, but the whole 6-prefix must be sane
     with pytest.raises(DuplicateEntry):
         residue_from_prefix((1, 2, 3, 0, 4, 4), 6)
+
+
+def _read_at_most(prefix, need):
+    """The entries of prefix, failing the test if entry ``need`` is asked for."""
+    for i, v in enumerate(prefix):
+        if i == need:
+            pytest.fail(f"prefix read past its first {need} entries")
+        yield v
+
+
+def test_prefix_is_read_no_further_than_needed():
+    n = 10**40 + 7
+    p = encode(n, 60)
+    for k in (2, 7, 12, 30, 60):
+        assert residue_from_prefix(_read_at_most(p, k), k) == n % k
+        assert divisible(_read_at_most(p, k), k) == (n % k == 0)
+        rule = generate_rule(k)
+        need = rule.effective_length
+        assert evaluate_rule(rule, _read_at_most(p, need)) == n % k
+    # a short prefix still reports its own length
+    with pytest.raises(PrefixTooShort, match="need a 7-prefix, got 3 entries"):
+        residue_from_prefix(iter((2, 0, 1)), 7)
 
 
 def test_modulus_one():
