@@ -8,8 +8,9 @@ commands pipe.  Every subcommand takes --format json (rule and table also
 take --format latex); JSON goes out as a single newline-terminated object,
 except table, which emits an array.
 
-Exit status: 0 on success, 1 with a one-line diagnostic on malformed input,
-2 when a verification (verify, mod --check) finds a mismatch.
+Exit status: 0 on success, 1 with a one-line diagnostic on malformed input
+or when memory runs out, 2 when a verification (verify, mod --check) finds
+a mismatch.
 """
 
 from __future__ import annotations
@@ -149,15 +150,13 @@ def _cmd_rule(args) -> int:
 def _cmd_table(args) -> int:
     rules = rule_table(args.kmax, primes_only=args.primes)
     if args.format == "json":
-        import json
-
         # the text of _emit_json(list), one rule at a time: memory follows
         # the largest rule, not the table; every listing is checked first
         for r in rules:
             _check_listing(r)
         sep = "["
         for r in rules:
-            sys.stdout.write(sep + json.dumps(r.to_json_obj()))
+            sys.stdout.write(sep + render_rule(r, "json"))
             sep = ", "
         print("]")
     else:
@@ -316,6 +315,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # the status an uncaught exception gives, without the traceback
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

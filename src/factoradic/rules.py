@@ -9,12 +9,19 @@ prints as -1.  Renderings list each column's pairs, grouping the columns
 that share a coefficient.  For k = 6 only three pairs survive:
 
     inv(0,1) + 2(inv(0,2) + inv(1,2))
+
+A listing has S(k)(S(k)-1)/2 pairs, so the text is built with Python work
+per column, not per pair.  Each pair is a head naming i and a tail naming j
+(and, in JSON, c), both made once; C-level joins over slices of the heads
+and ``itertools.product`` of heads with tails put the pairs together.  JSON
+is the text ``json.dumps`` gives for ``to_json_obj()``, built without it.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
+from itertools import chain, product
 from math import isqrt
 
 from . import core
@@ -117,20 +124,51 @@ def evaluate_rule(rule: DivisibilityRule, prefix: Sequence[int]) -> int:
     return _prefix_sum(prefix, rule.effective_length, rule.coefficients, rule.modulus)
 
 
-def _render_terms(rule: DivisibilityRule, inv_fmt, group_open: str, group_close: str) -> str:
-    """Signed terms; columns sharing a coefficient in order of first appearance."""
+def _render_terms(
+    rule: DivisibilityRule, head: str, tail: str, group_open: str, group_close: str
+) -> str:
+    """Signed terms; columns sharing a coefficient in order of first appearance.
+
+    A pair (i, j) prints as ``head % i + tail % j``.  Within a group of
+    columns js the pairs run i-major: the i in [js[t-1], js[t]) pair with the
+    columns js[t:], so each such stretch is one product of heads and tails.
+    """
     _check_listing(rule)
     columns: dict[int, list[int]] = {}
     for j, c in enumerate(rule.coefficients):
         columns.setdefault(c, []).append(j)
+    heads = [head % i for i in range(rule.effective_length)]
     out = []
     for c, js in columns.items():
-        bodies = [inv_fmt(i, j) for i in range(js[-1]) for j in js if i < j]
-        if abs(c) != 1:
-            bodies = [f"{abs(c)}{group_open}{' + '.join(bodies)}{group_close}"]
-        out.extend(f"+ {body}" if c > 0 else f"- {body}" for body in bodies)
+        tails = [tail % j for j in js]
+        pairs = chain.from_iterable(
+            product(heads[lo:hi], tails[t:]) for t, (lo, hi) in enumerate(zip([0, *js], js))
+        )
+        terms = map("".join, pairs)
+        sign = "+" if c > 0 else "-"
+        if abs(c) == 1:
+            body = f" {sign} ".join(terms)
+            if body:
+                out.append(f"{sign} {body}")
+        else:
+            out.append(f"{sign} {abs(c)}{group_open}{' + '.join(terms)}{group_close}")
     # columns 0 and 1 have coefficient 1, so the sum opens with "+ "
     return " ".join(out).removeprefix("+ ")
+
+
+def _render_json(rule: DivisibilityRule) -> str:
+    """The text of ``json.dumps(rule.to_json_obj())``, one join per column.
+
+    Column j >= 1 lists the pairs (0, j) .. (j-1, j), each a head
+    '{"i": i, "j": ' followed by the column's tail 'j, "c": c}'.
+    """
+    _check_listing(rule)
+    heads = ['{"i": %d, "j": ' % i for i in range(rule.effective_length)]
+    columns = []
+    for j, c in enumerate(rule.coefficients[1:], 1):
+        tail = f'{j}, "c": {c}}}'
+        columns.append((tail + ", ").join(heads[:j]) + tail)
+    return f'{{"k": {rule.modulus}, "terms": [{", ".join(columns)}]}}'
 
 
 def render_rule(rule: DivisibilityRule, fmt: str = "plain") -> str:
@@ -138,17 +176,14 @@ def render_rule(rule: DivisibilityRule, fmt: str = "plain") -> str:
 
     Plain text groups pairs sharing a coefficient, matching the style
     "inv(0,1) + 2(inv(0,2) + inv(1,2))"; unit coefficients stay bare.
+    JSON is the text of ``json.dumps(rule.to_json_obj())``.
     """
     if fmt == "plain":
-        return _render_terms(rule, lambda i, j: f"inv({i},{j})", "(", ")")
+        return _render_terms(rule, "inv(%d,", "%d)", "(", ")")
     if fmt == "latex":
-        return _render_terms(
-            rule, lambda i, j: f"\\inv{{{i}, {j}}}", "\\left(", "\\right)"
-        )
+        return _render_terms(rule, "\\inv{%d, ", "%d}", "\\left(", "\\right)")
     if fmt == "json":
-        import json  # not at the top: plain and latex never need it
-
-        return json.dumps(rule.to_json_obj())
+        return _render_json(rule)
     raise ValueError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
 

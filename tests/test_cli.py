@@ -10,8 +10,9 @@ import time
 import pytest
 
 import factoradic.cli as cli
-from factoradic import digits_from_integer, encode, format_permutation
+from factoradic import digits_from_integer, encode, format_permutation, render_rule
 from factoradic.cli import main
+from factoradic.rules import DivisibilityRule
 
 from golden import RULE_RENDERINGS
 
@@ -192,6 +193,25 @@ def test_table_json_refuses_before_writing(capsys):
     code, out, err = run_cli(capsys, "table", "1423", "--format", "json")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rule_json_needs_no_json_dumps_or_to_json_obj(capsys, monkeypatch):
+    rules = cli.rule_table(30)
+    want = [json.dumps(r.to_json_obj()) for r in rules]
+    def refuse(*args, **kwargs):
+        raise AssertionError("rule JSON went through json.dumps or to_json_obj")
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(DivisibilityRule, "to_json_obj", refuse)
+    assert [render_rule(r, "json") for r in rules] == want
+    code, out, err = run_cli(capsys, "table", "30", "--format", "json")
+    assert (code, out, err) == (0, "[" + ", ".join(want) + "]\n", "")
+
+
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "_cmd_rule", exhausted)
+    assert run_cli(capsys, "rule", "7") == (1, "", "error: out of memory\n")
 
 
 def test_malformed_input_exits_1(capsys):

@@ -1,6 +1,7 @@
 """Divisibility-rule unit tests: term generation, evaluation, rendering."""
 
 import copy
+import hashlib
 import json
 import pickle
 import time
@@ -210,6 +211,27 @@ def test_json_rendering():
             {"i": 1, "j": 2, "c": -1},
         ],
     }
+
+
+# SHA-256 over render_rule(generate_rule(k), fmt).encode(), for each k in turn
+# in the formats plain, latex, json; 1422 is the largest k the listing cap allows
+RENDERING_DIGEST = "39968b4e26451cd85beee0173f5def44c5f848292f04109ac32cb69a960329e1"
+
+
+def test_rendering_bytes_golden():
+    digest = hashlib.sha256()
+    for k in [*range(2, 601), 1009, 1021, 1400, 1422]:
+        rule = generate_rule(k)
+        for fmt in ("plain", "latex", "json"):
+            digest.update(render_rule(rule, fmt).encode())
+    assert digest.hexdigest() == RENDERING_DIGEST
+
+
+def test_json_text_is_json_dumps_of_to_json_obj():
+    # 1409 is the largest prime whose 992,016 pairs the listing cap allows
+    for k in [*range(2, 101), 593, 599, 1409]:
+        rule = generate_rule(k)
+        assert render_rule(rule, "json") == json.dumps(rule.to_json_obj())
 
 
 def test_unknown_format_rejected():
