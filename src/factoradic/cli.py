@@ -149,11 +149,12 @@ def _cmd_rule(args) -> int:
 
 def _cmd_table(args) -> int:
     rules = rule_table(args.kmax, primes_only=args.primes)
+    # every listing is checked before anything is written
+    for r in rules:
+        _check_listing(r)
     if args.format == "json":
         # the text of _emit_json(list), one rule at a time: memory follows
-        # the largest rule, not the table; every listing is checked first
-        for r in rules:
-            _check_listing(r)
+        # the largest rule, not the table
         sep = "["
         for r in rules:
             sys.stdout.write(sep + render_rule(r, "json"))

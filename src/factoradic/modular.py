@@ -11,6 +11,13 @@ decides the residue:
 Column counts depend only on the relative order of the prefix, which in
 turn depends only on n mod S(k)!, so residues of arbitrarily large n reduce
 to an S(k)-entry computation.
+
+Fixed-point tails count nothing: when the entries from position m on are
+m, m+1, ... and the m before them are all below m, as in a writing padded
+past its digits, every column from m on has c_j = 0.  So a prefix is
+counted only up to that m, and its weights are taken only that far.  For
+an integer n the same holds past its own digits, so ``residue`` takes the
+weights only up to the first j with j! > n, found by doubling and bisection.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from math import factorial
 
-from .core import _check_cap, _check_count, _counts, _log2_factorial, _ranks, _validate_prefix
-from .core import digits_from_integer, encode
+from .core import _check_cap, _check_count, _counts, _digits_minimal, _log2_factorial, _ranks
+from .core import _validate_prefix, encode
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet
 
@@ -47,13 +54,25 @@ def _weighted_sum(counts: Iterable[int], weights: Iterable[int], k: int) -> int:
     return sum(map(operator.mul, counts, weights)) % k
 
 
-def _prefix_sum(prefix: Iterable[int], need: int, weights: Sequence[int], k: int) -> int:
+def _prefix_sum(prefix: Iterable[int], need: int, weights: Iterable[int], k: int) -> int:
     """The weighted column sum of a prefix, which must have ``need`` valid
-    entries; nothing past them is read."""
+    entries; nothing past them is read, and no weight is taken before they
+    have been checked.
+
+    A trailing run of fixed points m, m+1, ... after m entries that are all
+    below m counts no inversions, so only the first m columns are counted and
+    only their weights are taken.
+    """
     entries = tuple(islice(prefix, need))
     if len(entries) < need:
         raise PrefixTooShort(f"need a {need}-prefix, got {len(entries)} entries")
     head = _validate_prefix(entries)
+    m = need
+    if head[-1] == need - 1:
+        m = bytes(map(operator.ne, head, range(need))).rfind(1) + 1
+        if max(head[:m], default=-1) >= m:
+            m = need
+    weights = list(islice(weights, m))
     return _weighted_sum(_counts(_ranks(head[: len(weights)])), weights, k)
 
 
@@ -69,7 +88,7 @@ def residue_from_prefix(prefix: Sequence[int], k: int) -> int:
     S(k) of them are read; extra entries are ignored.
     """
     k = _check_modulus(k)
-    return _prefix_sum(prefix, k, list(_factorials_mod(k)), k)
+    return _prefix_sum(prefix, k, _factorials_mod(k), k)
 
 
 def residue(n: int, k: int) -> int:
@@ -77,21 +96,36 @@ def residue(n: int, k: int) -> int:
 
     Digit j is column j's inversion count, weighted by j! mod k.  Weights
     are formed only while j! may be <= n, about min(S(k), digits of n) of
-    them, and n is reduced mod S(k)! only when it may have more than S(k)
-    digits, so neither k entries nor k! are ever built.  Agrees with plain
-    ``n % k``.
+    them, with O(log) ``lgamma`` calls, and n is reduced mod S(k)! only when
+    it may have more than S(k) digits, so neither k entries nor k! are ever
+    built.  Agrees with plain ``n % k``.
     """
     n = _check_count(n)
     k = _check_modulus(k)
-    weights = []
-    for w in _factorials_mod(k):
-        # one bit of margin over the rounding of lgamma: j! > n for sure
-        if _log2_factorial(len(weights)) > n.bit_length() + 1:
-            break
-        weights.append(w)
-    else:
+    # weights are needed below the cut, the first j with j! > n for sure (one
+    # bit of margin over the rounding of lgamma); j! <= 2^(2^(j-1)) puts the
+    # cut past j = bits.bit_length(), and from there hi doubles, taking the
+    # weights below it, until it passes the cut or S(k); then the cut is
+    # bisected in (lo, hi]
+    bits = n.bit_length() + 1
+    factorials = _factorials_mod(k)
+    lo = bits.bit_length()
+    hi = 2 * lo
+    weights = list(islice(factorials, lo))
+    while len(weights) == lo and _log2_factorial(hi) <= bits:
+        weights += islice(factorials, lo)
+        lo, hi = hi, 2 * hi
+    if len(weights) == lo:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _log2_factorial(mid) > bits:
+                hi = mid
+            else:
+                lo = mid
+        weights += islice(factorials, hi - len(weights))
+    if len(weights) < hi:  # S(k) came before the cut
         n %= factorial(len(weights))
-    return _weighted_sum(digits_from_integer(n), weights, k)
+    return _weighted_sum(_digits_minimal(n), weights, k)
 
 
 def prefix_inversions(n: int, s: int) -> InversionSet:

@@ -11,17 +11,19 @@ that share a coefficient.  For k = 6 only three pairs survive:
     inv(0,1) + 2(inv(0,2) + inv(1,2))
 
 A listing has S(k)(S(k)-1)/2 pairs, so the text is built with Python work
-per column, not per pair.  Each pair is a head naming i and a tail naming j
-(and, in JSON, c), both made once; C-level joins over slices of the heads
-and ``itertools.product`` of heads with tails put the pairs together.  JSON
-is the text ``json.dumps`` gives for ``to_json_obj()``, built without it.
+per row or per column, not per pair.  Each pair is a head naming i and a
+tail naming j (and, in JSON, c), both made once.  JSON is one join over the
+heads per column.  Plain and LaTeX lead each head with its separator; then a
+row of pairs sharing i is one join, ``(sep + head_i).join(["", *tails])``,
+and a run of rows with one column j is one join, ``tail_j.join(led heads)``.
+JSON is the text ``json.dumps`` gives for ``to_json_obj()``, built without it.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from itertools import chain, product
+from itertools import repeat
 from math import isqrt
 
 from . import core
@@ -131,27 +133,34 @@ def _render_terms(
 
     A pair (i, j) prints as ``head % i + tail % j``.  Within a group of
     columns js the pairs run i-major: the i in [js[t-1], js[t]) pair with the
-    columns js[t:], so each such stretch is one product of heads and tails.
+    columns js[t:].  Each pair is led by the group's separator sep, made once
+    into the led heads h_i = sep + head % i.  So row i of a stretch is one
+    join, ``h_i.join(["", *tails])``, and a stretch with one column is one
+    join over its rows, ``tail.join(h_lo .. h_hi-1) + tail``.
     """
     _check_listing(rule)
     columns: dict[int, list[int]] = {}
     for j, c in enumerate(rule.coefficients):
         columns.setdefault(c, []).append(j)
-    heads = [head % i for i in range(rule.effective_length)]
+    led = {sep: [(sep + head) % i for i in range(rule.effective_length)] for sep in (" + ", " - ")}
     out = []
     for c, js in columns.items():
-        tails = [tail % j for j in js]
-        pairs = chain.from_iterable(
-            product(heads[lo:hi], tails[t:]) for t, (lo, hi) in enumerate(zip([0, *js], js))
-        )
-        terms = map("".join, pairs)
         sign = "+" if c > 0 else "-"
+        sep = f" {sign} " if abs(c) == 1 else " + "
+        heads = led[sep]
+        tails = [tail % j for j in js]
+        text = []
+        for t, (lo, hi) in enumerate(zip([0, *js], js)):
+            if t < len(js) - 1:
+                text += map(str.join, heads[lo:hi], repeat(["", *tails[t:]]))
+            elif lo < hi:
+                text += (tails[t].join(heads[lo:hi]), tails[t])
+        body = "".join(text)[len(sep):]
         if abs(c) == 1:
-            body = f" {sign} ".join(terms)
             if body:
                 out.append(f"{sign} {body}")
         else:
-            out.append(f"{sign} {abs(c)}{group_open}{' + '.join(terms)}{group_close}")
+            out.append(f"{sign} {abs(c)}{group_open}{body}{group_close}")
     # columns 0 and 1 have coefficient 1, so the sum opens with "+ "
     return " ".join(out).removeprefix("+ ")
 

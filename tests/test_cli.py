@@ -195,6 +195,14 @@ def test_table_json_refuses_before_writing(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", [(), ("--format", "latex")], ids=["plain", "latex"])
+def test_table_refuses_before_writing_in_every_format(capsys, fmt):
+    # before, plain and LaTeX wrote the 1,421 rules up to 1422 (1.19 GB) first
+    code, out, err = run_cli(capsys, "table", "1423", *fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: rule for 1423 lists 1011753 pairs > MAX_PREFIX_LENGTH\n"
+
+
 def test_rule_json_needs_no_json_dumps_or_to_json_obj(capsys, monkeypatch):
     rules = cli.rule_table(30)
     want = [json.dumps(r.to_json_obj()) for r in rules]

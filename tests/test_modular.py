@@ -1,10 +1,12 @@
 """Residue unit tests: prefix formula, periodicity, Kempner cutoff."""
 
+import random
 import time
+from itertools import count
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from factoradic import (
@@ -20,11 +22,13 @@ from factoradic import (
     generate_rule,
     inversion_set,
     kempner,
+    minimal_prefix_length,
     prefix_inversions,
     residue,
     residue_from_prefix,
 )
 import factoradic.modular as modular
+from factoradic.reference import inversions_bruteforce
 from factoradic.rules import _is_prime
 
 
@@ -188,3 +192,120 @@ def test_residue_matches_direct_large_moduli(n, k):
 
 def test_big_primes_are_primes_above_the_cap():
     assert all(p > MAX_PREFIX_LENGTH and _is_prime(p) for p in _BIG_PRIMES)
+
+
+def test_residue_finds_the_weight_cut_with_few_lgamma_calls(monkeypatch):
+    # a 10^4-digit n has about 3,250 digits; before, each weight took one call
+    n = random.Random(9).randrange(10**9999, 10**10000)
+    calls = []
+    log2_factorial = modular._log2_factorial
+    def counted(s):
+        calls.append(s)
+        return log2_factorial(s)
+    monkeypatch.setattr(modular, "_log2_factorial", counted)
+    assert residue(n, 65521) == n % 65521
+    assert len(calls) <= 64
+
+
+def test_residue_takes_the_weights_below_the_cut_and_no_more(monkeypatch):
+    # the cut is the first j with log2(j!) > n.bit_length() + 1, one bit of
+    # margin over the rounding of lgamma; a prime k past the cut leaves the
+    # cut to decide
+    taken = []
+    factorials_mod = modular._factorials_mod
+    def counted(k):
+        for w in factorials_mod(k):
+            taken.append(w)
+            yield w
+    monkeypatch.setattr(modular, "_factorials_mod", counted)
+    big = random.Random(9).randrange(10**9999, 10**10000)
+    for n in (*range(300), *(factorial(j) + d for j in range(2, 40) for d in (-1, 0, 1)), big):
+        cut = next(j for j in count() if modular._log2_factorial(j) > n.bit_length() + 1)
+        taken.clear()
+        assert residue(n, 65521) == n % 65521
+        assert len(taken) == cut
+
+
+def test_padded_writing_counts_only_its_moved_columns(monkeypatch):
+    n = random.Random(10).randrange(10**399, 10**400)
+    w = encode(n, 3000)
+    m = minimal_prefix_length(n)
+    assert w[m:] == tuple(range(m, 3000))  # the padding is fixed points
+    sizes = []
+    counts = modular._counts
+    def counted(p):
+        sizes.append(len(p))
+        return counts(p)
+    monkeypatch.setattr(modular, "_counts", counted)
+    for k in (2999, 2048, 1000):  # S(k) = 2999, 14 and 15
+        assert residue_from_prefix(w, k) == n % k
+        assert divisible(w, k) == (n % k == 0)
+        assert evaluate_rule(generate_rule(k), w) == n % k
+    assert sizes and max(sizes) <= m
+
+
+def _unadvanced(k):
+    raise AssertionError("a weight was taken before the prefix was checked")
+    yield
+
+
+def test_no_weight_before_the_prefix_is_checked(monkeypatch):
+    monkeypatch.setattr(modular, "_factorials_mod", _unadvanced)
+    for k in (10**7 + 19, 10**9 + 7):
+        with pytest.raises(PrefixTooShort, match=f"need a {k}-prefix, got 3 entries"):
+            residue_from_prefix((0, 1, 2), k)
+        with pytest.raises(PrefixTooShort, match=f"need a {k}-prefix, got 3 entries"):
+            divisible([2, 0, 1], k)
+    with pytest.raises(DuplicateEntry):
+        residue_from_prefix((1, 1, 0), 3)
+
+
+def test_short_prefix_with_a_huge_prime_fails_fast():
+    # before, 10^7 + 19 built 10^7 weights (2 s) before refusing
+    for k in (10**7 + 19, 10**9 + 7):
+        start = time.perf_counter()
+        with pytest.raises(PrefixTooShort, match=f"need a {k}-prefix, got 3 entries"):
+            residue_from_prefix((0, 1, 2), k)
+        with pytest.raises(PrefixTooShort, match=f"need a {k}-prefix, got 3 entries"):
+            divisible([2, 0, 1], k)
+        assert time.perf_counter() - start < 1.0
+
+
+@given(st.integers(0, 10**150), st.integers(0, 400), st.integers(1, 3000))
+def test_padded_writings_give_n_mod_k(n, pad, k):
+    w = encode(n, max(minimal_prefix_length(n) + pad, k))
+    assert residue_from_prefix(w, k) == n % k
+    assert divisible(w, k) == (n % k == 0)
+    if k >= 2:
+        assert evaluate_rule(generate_rule(k), w) == n % k
+
+
+def _residue_by_pairs(prefix, k):
+    """sum of j! over the inverted pairs (i, j) of the k-prefix, mod k."""
+    return sum(factorial(j) for i, j in inversions_bruteforce(prefix[:k])) % k
+
+
+# a run of fixed points after entries that are not all below its start is
+# no padding: in (9, 0, 2, 3) columns 2 and 3 each count the 9
+@given(
+    st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True),
+    st.integers(0, 12),
+    st.integers(1, 24),
+)
+@example([9, 0], 2, 4)
+def test_trailing_fixed_points_that_are_no_padding(entries, run, k):
+    prefix = (*entries, *range(len(entries), len(entries) + run))
+    assume(len(set(prefix)) == len(prefix))
+    k = min(k, len(prefix))
+    want = _residue_by_pairs(prefix, k)
+    assert residue_from_prefix(prefix, k) == want
+    assert divisible(prefix, k) == (want == 0)
+    if k >= 2:
+        assert evaluate_rule(generate_rule(k), prefix) == want
+
+
+@given(st.integers(1, 3000), st.integers(-1, 1), st.integers(-1, 1))
+def test_residue_at_factorials_around_the_kempner_cutoff(k, dj, dn):
+    j = max(kempner(k) + dj, 0)
+    n = factorial(j) + dn
+    assert residue(n, k) == n % k

@@ -8,7 +8,7 @@ import time
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from factoradic import (
@@ -198,6 +198,41 @@ def test_latex_rendering():
     )
     assert render_rule(generate_rule(6), "latex") == (
         "\\inv{0, 1} + 2\\left(\\inv{0, 2} + \\inv{1, 2}\\right)"
+    )
+
+
+def _render_pairwise(rule, head, tail, group_open, group_close):
+    """Plain or LaTeX text built one pair at a time, by a double loop."""
+    groups = {}
+    for j, c in enumerate(rule.coefficients):
+        groups.setdefault(c, []).append(j)
+    out = []
+    for c, js in groups.items():
+        sign = "+" if c > 0 else "-"
+        terms = []
+        for i in range(len(rule.coefficients)):
+            for j in js:
+                if i < j:
+                    terms.append(head % i + tail % j)
+        if abs(c) == 1:
+            if terms:
+                out.append(f"{sign} " + f" {sign} ".join(terms))
+        else:
+            out.append(f"{sign} {abs(c)}{group_open}" + " + ".join(terms) + group_close)
+    return " ".join(out).removeprefix("+ ")
+
+
+# few coefficient values, so groups have several columns; column 0 makes an
+# empty stretch in its group, and a group of column 0 alone lists no pairs
+@given(st.integers(2, 50), st.lists(st.integers(-4, 4), max_size=24))
+@example(7, [])
+@example(7, [3])
+@example(7, [3, 1, 1, -1, 3, 3, -1, 1])
+def test_rendering_matches_pairwise(k, coefficients):
+    rule = DivisibilityRule(k, tuple(coefficients))
+    assert render_rule(rule) == _render_pairwise(rule, "inv(%d,", "%d)", "(", ")")
+    assert render_rule(rule, "latex") == _render_pairwise(
+        rule, "\\inv{%d, ", "%d}", "\\left(", "\\right)"
     )
 
 
