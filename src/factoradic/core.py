@@ -20,7 +20,7 @@ All functions are pure and safe to call from multiple threads.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from math import factorial, lgamma, log, log2, log10, prod
 
@@ -216,13 +216,9 @@ def _length(n: int) -> int:
     """
     bits = log2(n)
     tol = 1e-9 * (bits + 1)  # far above the rounding error of lgamma and log2
-    lo, hi = 1, MAX_PREFIX_LENGTH + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _log2_factorial(mid) <= bits:
-            lo = mid
-        else:
-            hi = mid
+    # (s - 1)! >= 2^(s - 2), so the first s with log2(s!) > bits is below top
+    top = min(n.bit_length() + 3, MAX_PREFIX_LENGTH + 1)
+    hi = bisect_right(range(top), bits, 1, key=_log2_factorial)
     # now log2((hi - 1)!) <= bits < log2(hi!) up to rounding, unless hi is the
     # cap; (hi - 2)! is below n by a factor of hi - 1 or more, and (hi + 1)!
     # above it by hi + 1, so only (hi - 1)! and hi! can be too close to call
@@ -323,16 +319,25 @@ def minimal_prefix_length(n: int) -> int:
 # ---------------------------------------------------------------------------
 # digits <-> permutation
 #
-# Both directions walk the positions from the right over a pool of the
-# values not yet placed (or read), in increasing order.  Digits -> permutation
-# takes the value at index j - d[j] out of the pool; permutation -> digits
-# finds entry j's index i in the pool and takes it out, and j - i values
-# above it are the earlier larger entries.  Up to _BIG_PERM positions the
-# pool is one list.  Above, it is cut into lists of _BIG_PERM consecutive
-# values (the layout of sortedcontainers' SortedList), so each pop or del
-# moves at most _BIG_PERM entries: digits -> permutation walks the block
-# lengths to index j - d[j]; permutation -> digits finds value v in block
-# v // _BIG_PERM and adds the lengths of the blocks before it.
+# Both directions stop at the padding: they walk the positions from the right,
+# from the last moved one (:func:`_moved`), over a pool of the values not yet
+# placed (or read), in increasing order.  Digits -> permutation takes the value
+# at index j - d[j] out of the pool; permutation -> digits finds entry j's
+# index i in the pool and takes it out, and j - i values above it are the
+# earlier larger entries.  Up to _BIG_PERM positions the pool is one list.
+# Above, it is cut into lists of _BIG_PERM consecutive values (the layout of
+# sortedcontainers' SortedList), so each pop or del moves at most _BIG_PERM
+# entries: digits -> permutation walks the block lengths to index j - d[j];
+# permutation -> digits finds value v in block v // _BIG_PERM and adds the
+# lengths of the blocks before it.
+
+def _moved(p: Sequence[int]) -> int:
+    """1 + the last j with p[j] != j (0 if none): where a writing's padding starts."""
+    m = len(p)
+    if m and p[-1] == m - 1:
+        m = bytes(map(operator.ne, p, range(m))).rfind(1) + 1
+    return m
+
 
 def _blocks(s: int) -> list[list[int]]:
     """The pool 0..s-1 as lists of _BIG_PERM consecutive values."""
@@ -341,37 +346,40 @@ def _blocks(s: int) -> list[list[int]]:
 
 def _permutation(d: Sequence[int]) -> tuple[int, ...]:
     """Kernel of :func:`permutation_from_digits`, for valid digits."""
-    s = len(d)
-    if s <= _BIG_PERM:
-        pool = list(range(s))
-        out = list(map(pool.pop, map(operator.sub, range(s - 1, -1, -1), reversed(d))))
+    s = m = len(d)
+    if not d[-1]:  # position j takes index j - d[j]: a 0 digit is a fixed point
+        m = _moved(list(map(operator.sub, range(s), d)))
+    if m <= _BIG_PERM:
+        pool = list(range(m))
+        out = list(map(pool.pop, map(operator.sub, range(m - 1, -1, -1), reversed(d[:m]))))
         out.reverse()
-        return tuple(out)
-    blocks = _blocks(s)
-    out = [0] * s
-    for j in range(s - 1, -1, -1):
-        i = j - d[j]
-        for block in blocks:
-            if i < len(block):
-                break
-            i -= len(block)
-        out[j] = block.pop(i)
+    else:
+        blocks = _blocks(m)
+        out = [0] * m
+        for j in range(m - 1, -1, -1):
+            i = j - d[j]
+            for block in blocks:
+                if i < len(block):
+                    break
+                i -= len(block)
+            out[j] = block.pop(i)
+    out += range(m, s)
     return tuple(out)
 
 
 def _counts(p: Sequence[int]) -> list[int]:
     """counts[j] = #{i < j : p[i] > p[j]} for a permutation p of 0..s-1."""
-    s = len(p)
-    counts = [0] * s
-    if s <= _BIG_PERM:
-        pool = list(range(s))
-        for j in range(s - 1, -1, -1):
+    m = _moved(p)
+    counts = [0] * len(p)
+    if m <= _BIG_PERM:
+        pool = list(range(m))
+        for j in range(m - 1, -1, -1):
             i = bisect_left(pool, p[j])
             counts[j] = j - i
             del pool[i]
     else:
-        blocks = _blocks(s)
-        for j in range(s - 1, -1, -1):
+        blocks = _blocks(m)
+        for j in range(m - 1, -1, -1):
             v = p[j]
             block = blocks[v // _BIG_PERM]
             i = bisect_left(block, v)
@@ -431,15 +439,13 @@ def decode(entries: Sequence[int]) -> int:
 
     Inverse of :func:`encode`; padded writings decode to the same integer.
     """
-    return _integer(_counts(_validate_complete(entries)))
+    return _integer(_counts(minimal_form(entries)))
 
 
 def minimal_form(entries: Sequence[int]) -> tuple[int, ...]:
     """Strip trailing fixed points down to the shortest writing (length >= 1)."""
-    p = list(_validate_complete(entries))
-    while len(p) > 1 and p[-1] == len(p) - 1:
-        p.pop()
-    return tuple(p)
+    p = _validate_complete(entries)
+    return p[: max(_moved(p), 1)]
 
 
 def compare_factoradic(p: Sequence[int], q: Sequence[int]) -> int:
@@ -453,12 +459,11 @@ def compare_factoradic(p: Sequence[int], q: Sequence[int]) -> int:
     """
     a = _validate_complete(p)
     b = _validate_complete(q)
-    for j in range(max(len(a), len(b)) - 1, -1, -1):
-        x = a[j] if j < len(a) else j
-        y = b[j] if j < len(b) else j
-        if x != y:
-            return -1 if x > y else 1
-    return 0
+    ma, mb = _moved(a), _moved(b)
+    if ma != mb:  # the writing that moves more entries encodes more
+        return 1 if ma > mb else -1
+    ra, rb = a[:ma][::-1], b[:mb][::-1]
+    return (ra < rb) - (ra > rb)
 
 
 # ---------------------------------------------------------------------------

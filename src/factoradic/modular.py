@@ -17,18 +17,19 @@ m, m+1, ... and the m before them are all below m, as in a writing padded
 past its digits, every column from m on has c_j = 0.  So a prefix is
 counted only up to that m, and its weights are taken only that far.  For
 an integer n the same holds past its own digits, so ``residue`` takes the
-weights only up to the first j with j! > n, found by doubling and bisection.
+weights only up to the first j with j! > n, found by doubling and bisect.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from math import factorial
 
-from .core import _check_cap, _check_count, _counts, _digits_minimal, _log2_factorial, _ranks
-from .core import _validate_prefix, encode
+from .core import _check_cap, _check_count, _counts, _digits_minimal, _log2_factorial, _moved
+from .core import _permutation, _ranks, _validate_prefix
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet
 
@@ -67,11 +68,9 @@ def _prefix_sum(prefix: Iterable[int], need: int, weights: Iterable[int], k: int
     if len(entries) < need:
         raise PrefixTooShort(f"need a {need}-prefix, got {len(entries)} entries")
     head = _validate_prefix(entries)
-    m = need
-    if head[-1] == need - 1:
-        m = bytes(map(operator.ne, head, range(need))).rfind(1) + 1
-        if max(head[:m], default=-1) >= m:
-            m = need
+    m = _moved(head)
+    if m < need and max(head[:m], default=-1) >= m:
+        m = need
     weights = list(islice(weights, m))
     return _weighted_sum(_counts(_ranks(head[: len(weights)])), weights, k)
 
@@ -116,12 +115,7 @@ def residue(n: int, k: int) -> int:
         weights += islice(factorials, lo)
         lo, hi = hi, 2 * hi
     if len(weights) == lo:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _log2_factorial(mid) > bits:
-                hi = mid
-            else:
-                lo = mid
+        hi = bisect_right(range(hi), bits, lo + 1, key=_log2_factorial)
         weights += islice(factorials, hi - len(weights))
     if len(weights) < hi:  # S(k) came before the cut
         n %= factorial(len(weights))
@@ -142,7 +136,8 @@ def prefix_inversions(n: int, s: int) -> InversionSet:
     # one bit of margin over the rounding of lgamma, as in residue
     if _log2_factorial(s) <= n.bit_length() + 1:
         n %= factorial(s)
-    return InversionSet._of_permutation(encode(n, s))
+    d = _digits_minimal(n)
+    return InversionSet._of_permutation(_permutation(d + [0] * (s - len(d))))
 
 
 def divisible(n_or_prefix, k: int) -> bool:

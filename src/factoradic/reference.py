@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Sequence
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from math import factorial
 
-from .core import compare_factoradic, decode, encode
+from .core import decode, encode
 from .errors import ModulusZero, PrefixTooShort, RangeTooLarge
 from .inversions import inversion_set
 from .modular import residue
@@ -25,11 +25,11 @@ _BRUTE_MAX = 8  # s! enumerations past this are pointless
 @lru_cache(maxsize=None)
 def _sorted_permutations(s: int) -> tuple[tuple[int, ...], ...]:
     perms = itertools.permutations(range(s))
-    return tuple(sorted(perms, key=cmp_to_key(compare_factoradic)))
+    return tuple(sorted(perms, key=lambda p: p[::-1], reverse=True))
 
 
 def nth_permutation_bruteforce(n: int, s: int) -> tuple[int, ...]:
-    """n-th length-s permutation by enumerating and sorting all s! of them."""
+    """n-th length-s permutation: all s! of them, sorted by reversed tuple, larger first."""
     if s > _BRUTE_MAX:
         raise RangeTooLarge(f"bruteforce enumeration capped at s = {_BRUTE_MAX}")
     if not 0 <= n < factorial(s):

@@ -2,9 +2,10 @@
 
 GOLDEN_24 lists the width-4 permutation writing of every n < 24.  Each row
 is independently reproducible by enumerating the 24 permutations of
-{0,1,2,3} and sorting them with compare_factoradic (the reference module
-does exactly that); the unit suites re-derive them, the golden suites pin
-them.
+{0,1,2,3} and sorting them so that the larger entry at the highest position
+where two differ comes first (the reference module does exactly that, by
+their reversed tuples, without the library's comparator); the unit suites
+re-derive them, the golden suites pin them.
 
 The rule strings and term sets follow from the coefficient recurrence
 w_j = j! mod k with balanced representatives in (-k/2, k/2], dropping pairs

@@ -104,6 +104,51 @@ def test_minimal_prefix_length_cap():
                 digits_from_integer(n)
 
 
+def test_minimal_prefix_length_at_factorials_up_to_3000():
+    f = 1
+    for j in range(2, 3001):
+        f *= j
+        assert minimal_prefix_length(f - 1) == j
+        assert minimal_prefix_length(f) == j + 1
+        assert minimal_prefix_length(f + 1) == j + 1
+
+
+# (cap, j) -> what n = j! - 1, j!, j! + 1 give with MAX_PREFIX_LENGTH = cap:
+# a length, or, as a string, the length a RangeTooLarge message names.  Past
+# the cap the message names where the search stopped, cap + 1, or one more
+# when the exact check finds n >= (cap + 1)!, not the length n needs.
+CAPPED_LENGTHS = {
+    (1, 1): (1, "2", "3"),
+    (1, 2): ("2", "3", "2"),
+    (1, 3): ("2", "2", "2"),
+    (2, 1): (1, 2, "3"),
+    (2, 2): (2, "3", "3"),
+    (2, 3): ("3", "4", "3"),
+    (2, 4): ("3", "3", "3"),
+    (5, 4): (4, 5, 5),
+    (5, 5): (5, "6", "6"),
+    (5, 6): ("6", "7", "6"),
+    (5, 7): ("6", "6", "6"),
+    (200, 199): (199, 200, 200),
+    (200, 200): (200, "201", "201"),
+    (200, 201): ("201", "202", "202"),
+    (200, 202): ("201", "201", "201"),
+}
+
+
+@pytest.mark.parametrize("cap, j", CAPPED_LENGTHS)
+def test_minimal_prefix_length_under_a_patched_cap(cap, j):
+    with patch.object(core, "MAX_PREFIX_LENGTH", cap):
+        for d, want in zip((-1, 0, 1), CAPPED_LENGTHS[cap, j]):
+            n = factorial(j) + d
+            if isinstance(want, int):
+                assert minimal_prefix_length(n) == want
+                continue
+            message = f"^prefix length {want} exceeds MAX_PREFIX_LENGTH={cap}$"
+            with pytest.raises(RangeTooLarge, match=message):
+                minimal_prefix_length(n)
+
+
 # ---------------------------------------------------------------------------
 # padding and minimal forms
 
@@ -124,6 +169,53 @@ def test_minimal_form_strips_fixed_points():
 def test_padded_encode_decodes_back(n, extra):
     length = minimal_prefix_length(n) + extra
     assert decode(encode(n, length)) == n
+
+
+@given(st.integers(0, 10**150), st.integers(0, 400))
+def test_padded_writings_agree_with_the_minimal_one(n, pad):
+    w = encode(n)
+    m = len(w)
+    padded = encode(n, m + pad)
+    assert padded == w + tuple(range(m, m + pad))
+    assert decode(padded) == n
+    assert minimal_form(padded) == w
+    d = digits_from_permutation(padded)
+    assert d == digits_from_integer(n) + (0,) * pad
+    assert permutation_from_digits(d) == padded
+
+
+@given(st.integers(0, 10**150), st.data())
+def test_compare_padded_writings_in_decode_order(a, data):
+    b = data.draw(st.integers(0, 10**150) | st.integers(max(a - 2, 0), a + 2))
+    p = encode(a, minimal_prefix_length(a) + data.draw(st.integers(0, 400)))
+    q = encode(b, minimal_prefix_length(b) + data.draw(st.integers(0, 400)))
+    want = (decode(p) > decode(q)) - (decode(p) < decode(q))
+    assert compare_factoradic(p, q) == want
+    assert compare_factoradic(q, p) == -want
+
+
+@pytest.mark.parametrize("big_perm", [64, core._BIG_PERM])
+def test_padding_never_reaches_the_kernels(big_perm, monkeypatch):
+    # a writing of m entries padded to s > 2 * _BIG_PERM: the pool kernels
+    # (which build their blocks with _blocks) and _integer get m positions
+    monkeypatch.setattr(core, "_BIG_PERM", big_perm)
+    m = big_perm + 100
+    n = random.Random(m).randrange(factorial(m - 1), factorial(m))
+    s = 2 * big_perm + 1000
+    sizes = []
+    for name in ("_blocks", "_integer"):
+        def counted(arg, _call=getattr(core, name)):
+            sizes.append(arg if isinstance(arg, int) else len(arg))
+            return _call(arg)
+        monkeypatch.setattr(core, name, counted)
+    w = encode(n, s)
+    assert w[m:] == tuple(range(m, s))
+    assert decode(w) == n
+    assert prefix_inversions(n, s) == inversion_set(w)
+    d = digits_from_permutation(w)
+    assert permutation_from_digits(d) == w
+    assert minimal_form(w) == w[:m]
+    assert m in sizes and max(sizes) == m
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from factoradic import (
     residue,
     residue_from_prefix,
 )
+import factoradic.core as core
 import factoradic.modular as modular
 from factoradic.reference import inversions_bruteforce
 from factoradic.rules import _is_prime
@@ -104,6 +105,22 @@ def test_prefix_inversions_skips_the_factorial_when_n_is_below_it(monkeypatch):
     monkeypatch.setattr(modular, "factorial", refuse)
     assert prefix_inversions(5, 5000) == inversion_set(encode(5, 5000))
     assert prefix_inversions(5, 5000).count() == 3  # 5 = 2*2! + 1*1!
+
+
+def test_prefix_inversions_checks_n_once(monkeypatch):
+    # before, the public encode checked n, and s, a second time
+    calls = []
+    check_count = core._check_count
+    def counted(n):
+        calls.append(n)
+        return check_count(n)
+    monkeypatch.setattr(core, "_check_count", counted)
+    monkeypatch.setattr(modular, "_check_count", counted)
+    n = 10**100 - 7
+    want = inversion_set(encode(n, 80))
+    calls.clear()
+    assert prefix_inversions(n, 80) == want
+    assert calls == [n]
 
 
 def test_prefix_inversions_cap_comes_first():

@@ -22,6 +22,21 @@ def test_bruteforce_reproduces_golden_rows():
         assert nth_permutation_bruteforce(n, 4) == row
 
 
+def test_bruteforce_order_does_not_use_the_library_comparator(monkeypatch):
+    # the oracle for encode's order must not be the library's own comparator
+    import factoradic.core as core
+    import factoradic.reference as reference
+
+    def refuse(p, q):
+        raise AssertionError("compare_factoradic called")
+
+    monkeypatch.setattr(core, "compare_factoradic", refuse)
+    monkeypatch.setattr(reference, "compare_factoradic", refuse, raising=False)
+    reference._sorted_permutations.cache_clear()
+    for n, row in GOLDEN_24.items():
+        assert nth_permutation_bruteforce(n, 4) == row
+
+
 def test_bruteforce_last_permutation_is_reversal():
     assert nth_permutation_bruteforce(5039, 7) == (6, 5, 4, 3, 2, 1, 0)
 
