@@ -23,7 +23,7 @@ from time import perf_counter
 
 from . import __version__
 from .core import (
-    _check_cap,
+    _check_prefix_length,
     _format_decimal,
     _parse_decimal,
     compare_factoradic,
@@ -197,8 +197,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    s = args.size
-    _check_cap(s)
+    s = _check_prefix_length(args.size)
     n = random.Random(0).randrange(factorial(s))
     t0 = perf_counter()
     perm = encode(n)

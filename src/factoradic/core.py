@@ -97,6 +97,14 @@ def _check_cap(s: int) -> None:
         )
 
 
+def _check_prefix_length(s) -> int:
+    s = operator.index(s)
+    if s < 1:
+        raise PrefixTooShort(f"prefix length must be >= 1, got {s}")
+    _check_cap(s)
+    return s
+
+
 def _validate_digits(digits: Sequence[int]) -> tuple[int, ...]:
     d = tuple(map(operator.index, digits))
     if not d:
@@ -279,20 +287,21 @@ def digits_from_integer(n: int, length: int | None = None) -> tuple[int, ...]:
     With ``length`` the digits are zero-padded to exactly that many entries;
     ``PrefixTooShort`` is raised if n does not fit, i.e. if n >= length!.
     """
+    d, s = _writing(n, length)
+    return tuple(d) + (0,) * (s - len(d))
+
+
+def _writing(n, length) -> tuple[list[int], int]:
+    """n's minimal digits d, and its writing's length: len(d), or the checked ``length``."""
     n = _check_count(n)
-    out = _digits_minimal(n)
-    if length is None:
-        _check_cap(len(out))
-        return tuple(out)
-    length = operator.index(length)
-    if length < 1:
-        raise PrefixTooShort(f"length must be >= 1, got {length}")
-    _check_cap(length)
-    if length < len(out):
-        raise PrefixTooShort(
-            f"n = {n} needs at least {len(out)} digits, got length {length}"
-        )
-    return tuple(out) + (0,) * (length - len(out))
+    d = _digits_minimal(n)
+    s = len(d) if length is None else operator.index(length)
+    if s < 1:
+        raise PrefixTooShort(f"length must be >= 1, got {s}")
+    _check_cap(s)
+    if s < len(d):
+        raise PrefixTooShort(f"n = {n} needs at least {len(d)} digits, got length {s}")
+    return d, s
 
 
 def _integer(d: Sequence[int]) -> int:
@@ -319,17 +328,18 @@ def minimal_prefix_length(n: int) -> int:
 # ---------------------------------------------------------------------------
 # digits <-> permutation
 #
-# Both directions stop at the padding: they walk the positions from the right,
-# from the last moved one (:func:`_moved`), over a pool of the values not yet
-# placed (or read), in increasing order.  Digits -> permutation takes the value
-# at index j - d[j] out of the pool; permutation -> digits finds entry j's
-# index i in the pool and takes it out, and j - i values above it are the
-# earlier larger entries.  Up to _BIG_PERM positions the pool is one list.
-# Above, it is cut into lists of _BIG_PERM consecutive values (the layout of
-# sortedcontainers' SortedList), so each pop or del moves at most _BIG_PERM
-# entries: digits -> permutation walks the block lengths to index j - d[j];
-# permutation -> digits finds value v in block v // _BIG_PERM and adds the
-# lengths of the blocks before it.
+# Both directions stop at the padding: digits -> permutation is given the
+# moved digits and the writing's length, and permutation -> digits finds the
+# moved part with :func:`_moved`.  They walk it from the right, over a pool of
+# the values not yet placed (or read), in increasing order.  Digits ->
+# permutation takes the value at index j - d[j] out of the pool; permutation
+# -> digits finds entry j's index i in the pool and takes it out, and j - i
+# values above it are the earlier larger entries.  Up to _BIG_PERM positions
+# the pool is one list.  Above, it is cut into lists of _BIG_PERM consecutive
+# values (the layout of sortedcontainers' SortedList), so each pop or del
+# moves at most _BIG_PERM entries: digits -> permutation walks the block
+# lengths to index j - d[j]; permutation -> digits finds value v in block
+# v // _BIG_PERM and adds the lengths of the blocks before it.
 
 def _moved(p: Sequence[int]) -> int:
     """1 + the last j with p[j] != j (0 if none): where a writing's padding starts."""
@@ -344,14 +354,12 @@ def _blocks(s: int) -> list[list[int]]:
     return [list(range(lo, min(lo + _BIG_PERM, s))) for lo in range(0, s, _BIG_PERM)]
 
 
-def _permutation(d: Sequence[int]) -> tuple[int, ...]:
-    """Kernel of :func:`permutation_from_digits`, for valid digits."""
-    s = m = len(d)
-    if not d[-1]:  # position j takes index j - d[j]: a 0 digit is a fixed point
-        m = _moved(list(map(operator.sub, range(s), d)))
+def _permutation(d: Sequence[int], s: int) -> tuple[int, ...]:
+    """The s-entry writing of the valid digits d, padded with zeros."""
+    m = len(d)
     if m <= _BIG_PERM:
         pool = list(range(m))
-        out = list(map(pool.pop, map(operator.sub, range(m - 1, -1, -1), reversed(d[:m]))))
+        out = list(map(pool.pop, map(operator.sub, range(m - 1, -1, -1), reversed(d))))
         out.reverse()
     else:
         blocks = _blocks(m)
@@ -409,7 +417,8 @@ def permutation_from_digits(digits: Sequence[int]) -> tuple[int, ...]:
     """
     d = _validate_digits(digits)
     _check_cap(len(d))
-    return _permutation(d)
+    m = len(d) if d[-1] else bytes(map(bool, d)).rfind(1) + 1  # d[m:] are zeros
+    return _permutation(d[:m], len(d))
 
 
 def digits_from_permutation(entries: Sequence[int]) -> tuple[int, ...]:
@@ -431,7 +440,7 @@ def encode(n: int, length: int | None = None) -> tuple[int, ...]:
     passing ``length`` pads with trailing fixed points, and requires
     n < length!.
     """
-    return _permutation(digits_from_integer(n, length))
+    return _permutation(*_writing(n, length))
 
 
 def decode(entries: Sequence[int]) -> int:

@@ -17,7 +17,7 @@ m, m+1, ... and the m before them are all below m, as in a writing padded
 past its digits, every column from m on has c_j = 0.  So a prefix is
 counted only up to that m, and its weights are taken only that far.  For
 an integer n the same holds past its own digits, so ``residue`` takes the
-weights only up to the first j with j! > n, found by doubling and bisect.
+weights only up to the first j with j! > n, found by one bisect.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from math import factorial
 
-from .core import _check_cap, _check_count, _counts, _digits_minimal, _log2_factorial, _moved
-from .core import _permutation, _ranks, _validate_prefix
+from .core import _check_count, _check_prefix_length, _counts, _digits_minimal, _log2_factorial
+from .core import _moved, _permutation, _ranks, _validate_prefix
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet
 
@@ -102,22 +102,12 @@ def residue(n: int, k: int) -> int:
     n = _check_count(n)
     k = _check_modulus(k)
     # weights are needed below the cut, the first j with j! > n for sure (one
-    # bit of margin over the rounding of lgamma); j! <= 2^(2^(j-1)) puts the
-    # cut past j = bits.bit_length(), and from there hi doubles, taking the
-    # weights below it, until it passes the cut or S(k); then the cut is
-    # bisected in (lo, hi]
+    # bit of margin over the rounding of lgamma); (j - 1)! >= 2^(j - 2) puts
+    # the cut below bits + 3
     bits = n.bit_length() + 1
-    factorials = _factorials_mod(k)
-    lo = bits.bit_length()
-    hi = 2 * lo
-    weights = list(islice(factorials, lo))
-    while len(weights) == lo and _log2_factorial(hi) <= bits:
-        weights += islice(factorials, lo)
-        lo, hi = hi, 2 * hi
-    if len(weights) == lo:
-        hi = bisect_right(range(hi), bits, lo + 1, key=_log2_factorial)
-        weights += islice(factorials, hi - len(weights))
-    if len(weights) < hi:  # S(k) came before the cut
+    cut = bisect_right(range(bits + 3), bits, key=_log2_factorial)
+    weights = list(islice(_factorials_mod(k), cut))
+    if len(weights) < cut:  # S(k) came before the cut
         n %= factorial(len(weights))
     return _weighted_sum(_digits_minimal(n), weights, k)
 
@@ -129,15 +119,11 @@ def prefix_inversions(n: int, s: int) -> InversionSet:
     when it may reach s!; s! is not computed for a smaller n.
     """
     n = _check_count(n)
-    s = operator.index(s)
-    if s < 1:
-        raise PrefixTooShort(f"prefix length must be >= 1, got {s}")
-    _check_cap(s)
+    s = _check_prefix_length(s)
     # one bit of margin over the rounding of lgamma, as in residue
     if _log2_factorial(s) <= n.bit_length() + 1:
         n %= factorial(s)
-    d = _digits_minimal(n)
-    return InversionSet._of_permutation(_permutation(d + [0] * (s - len(d))))
+    return InversionSet._of_permutation(_permutation(_digits_minimal(n), s))
 
 
 def divisible(n_or_prefix, k: int) -> bool:

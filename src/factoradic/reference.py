@@ -28,10 +28,14 @@ def _sorted_permutations(s: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(perms, key=lambda p: p[::-1], reverse=True))
 
 
-def nth_permutation_bruteforce(n: int, s: int) -> tuple[int, ...]:
-    """n-th length-s permutation: all s! of them, sorted by reversed tuple, larger first."""
+def _check_brute(s: int) -> None:
     if s > _BRUTE_MAX:
         raise RangeTooLarge(f"bruteforce enumeration capped at s = {_BRUTE_MAX}")
+
+
+def nth_permutation_bruteforce(n: int, s: int) -> tuple[int, ...]:
+    """n-th length-s permutation: all s! of them, sorted by reversed tuple, larger first."""
+    _check_brute(s)
     if not 0 <= n < factorial(s):
         raise PrefixTooShort(f"need 0 <= n < {s}!, got {n}")
     return _sorted_permutations(s)[n]
@@ -57,6 +61,7 @@ def mod_direct(n: int, k: int) -> int:
 
 def check_factoradic_order(smax: int = 7) -> tuple[int, list]:
     """encode/decode vs. exhaustive enumeration for every n < s!, s <= smax."""
+    _check_brute(smax)
     cases = 0
     mismatches = []
     for s in range(1, smax + 1):

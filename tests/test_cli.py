@@ -10,6 +10,7 @@ import time
 import pytest
 
 import factoradic.cli as cli
+import factoradic.reference as reference
 from factoradic import digits_from_integer, encode, format_permutation, render_rule
 from factoradic.cli import main
 from factoradic.rules import DivisibilityRule
@@ -158,6 +159,17 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     assert "residues: FAIL (5 cases)" in out
 
 
+def test_verify_refuses_smax_above_the_bruteforce_cap_first(capsys, monkeypatch):
+    # no suite runs before the refusal
+    def refuse(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(reference, "encode", refuse)
+    monkeypatch.setattr(cli, "check_inversions", refuse)
+    code, out, err = run_cli(capsys, "verify", "--smax", "9")
+    assert (code, out, err) == (1, "", "error: bruteforce enumeration capped at s = 8\n")
+
+
 def test_bench_small(capsys):
     code, out, _ = run_cli(capsys, "bench", "--size", "300")
     assert code == 0
@@ -177,6 +189,12 @@ def test_bench_size_cap_comes_first(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_bench_refuses_sizes_below_1(capsys, size):
+    code, out, err = run_cli(capsys, "bench", "--size", size)
+    assert (code, out, err) == (1, "", f"error: prefix length must be >= 1, got {size}\n")
 
 
 @pytest.mark.parametrize("primes", [False, True])

@@ -9,7 +9,7 @@ from math import factorial
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factoradic import (
@@ -172,6 +172,10 @@ def test_padded_encode_decodes_back(n, extra):
 
 
 @given(st.integers(0, 10**150), st.integers(0, 400))
+@example(0, 0)  # all-zero digits: nothing moves
+@example(0, 300)
+@example(factorial(9), 0)  # digits 0, ..., 0, 1
+@example(factorial(60), 250)
 def test_padded_writings_agree_with_the_minimal_one(n, pad):
     w = encode(n)
     m = len(w)
@@ -197,17 +201,19 @@ def test_compare_padded_writings_in_decode_order(a, data):
 @pytest.mark.parametrize("big_perm", [64, core._BIG_PERM])
 def test_padding_never_reaches_the_kernels(big_perm, monkeypatch):
     # a writing of m entries padded to s > 2 * _BIG_PERM: the pool kernels
-    # (which build their blocks with _blocks) and _integer get m positions
+    # (which build their blocks with _blocks) and _integer get m positions,
+    # and _permutation gets m digits
     monkeypatch.setattr(core, "_BIG_PERM", big_perm)
     m = big_perm + 100
     n = random.Random(m).randrange(factorial(m - 1), factorial(m))
     s = 2 * big_perm + 1000
     sizes = []
-    for name in ("_blocks", "_integer"):
-        def counted(arg, _call=getattr(core, name)):
+    for name in ("_blocks", "_integer", "_permutation"):
+        def counted(arg, *rest, _call=getattr(core, name)):
             sizes.append(arg if isinstance(arg, int) else len(arg))
-            return _call(arg)
+            return _call(arg, *rest)
         monkeypatch.setattr(core, name, counted)
+    monkeypatch.setattr(modular, "_permutation", core._permutation)  # its own import
     w = encode(n, s)
     assert w[m:] == tuple(range(m, s))
     assert decode(w) == n
