@@ -10,12 +10,14 @@ except table, which emits an array.
 
 Exit status: 0 on success, 1 with a one-line diagnostic on malformed input
 or when memory runs out, 2 when a verification (verify, mod --check) finds
-a mismatch.
+a mismatch.  An interrupt (Ctrl-C) prints one line and then ends the process
+by SIGINT, as Python does without the line.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from math import factorial
@@ -320,6 +322,16 @@ def main(argv=None) -> int:
         # the status an uncaught exception gives, without the traceback
         print("error: out of memory", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # one line instead of the traceback; then die by SIGINT, as an
+        # uncaught KeyboardInterrupt does, so the caller sees the same status
+        # (signal is imported only here: the CLI's start-up does not load it)
+        import signal
+
+        print("error: interrupted", file=sys.stderr)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        return 128 + signal.SIGINT  # the shell's status, if the signal is blocked
 
 
 def entry() -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from itertools import islice
 from math import factorial, lgamma, log, log2, log10, prod
 
 from .errors import (
@@ -115,15 +116,31 @@ def _validate_digits(digits: Sequence[int]) -> tuple[int, ...]:
     return d
 
 
-def _validate_prefix(entries: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(map(operator.index, entries))
+def _validate_prefix(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The entries as ints, and how many of them count: m when they end in a
+    run of fixed points m, m+1, ... after m entries that are all below m (see
+    :func:`_moved`), else all of them.
+
+    Every entry is checked to be an integer; a tuple of ints is taken as it
+    is, with no copy.  The run is distinct, non-negative and above the m
+    entries before it, so only those are checked for negative and repeated
+    entries.
+    """
+    if type(entries) is tuple and operator.countOf(map(type, entries), int) == len(entries):
+        p = entries
+    else:
+        p = tuple(map(operator.index, entries))
     if not p:
         raise PrefixTooShort("empty prefix")
-    if min(p) < 0:
+    m = _moved(p)
+    head = p[:m]
+    if min(head, default=0) < 0:
         raise NotAPermutation(f"negative entry in {p}")
-    if len(set(p)) != len(p):
+    if max(head, default=-1) >= m:  # the run, if any, is no fixed-point tail
+        head, m = p, len(p)
+    if len(set(head)) != m:
         raise DuplicateEntry(f"repeated entry in {p}")
-    return p
+    return p, m
 
 
 def _validate_complete(entries: Sequence[int]) -> tuple[int, ...]:
@@ -342,9 +359,21 @@ def minimal_prefix_length(n: int) -> int:
 # v // _BIG_PERM and adds the lengths of the blocks before it.
 
 def _moved(p: Sequence[int]) -> int:
-    """1 + the last j with p[j] != j (0 if none): where a writing's padding starts."""
+    """1 + the last j with p[j] != j (0 if none): where a writing's padding starts.
+
+    p holds ints.  When its last entry is fixed, a bisect on p[j] == j ends
+    at a c with p[c] == c, just after a probed j with p[j] != j, or at 0.  If
+    p[c:] is strictly increasing, it climbs from c to len(p) - 1 in as many
+    steps as it has entries, so it is range(c, len(p)) and c is the answer;
+    that check compares neighbours and makes no int.  A fixed point before
+    the padding can mislead the bisect, and then one scan of all entries
+    finds the answer.
+    """
     m = len(p)
     if m and p[-1] == m - 1:
+        c = bisect_left(range(m), True, key=lambda j: p[j] == j)
+        if all(map(operator.lt, islice(p, c, None), islice(p, c + 1, None))):
+            return c
         m = bytes(map(operator.ne, p, range(m))).rfind(1) + 1
     return m
 
@@ -427,7 +456,8 @@ def digits_from_permutation(entries: Sequence[int]) -> tuple[int, ...]:
     Works for any sequence of distinct non-negative integers; when the input
     is a permutation of {0..s-1} this inverts :func:`permutation_from_digits`.
     """
-    return tuple(_counts(_ranks(_validate_prefix(entries))))
+    p, m = _validate_prefix(entries)
+    return tuple(_counts(_ranks(p[:m]))) + (0,) * (len(p) - m)  # no inversions past m
 
 
 # ---------------------------------------------------------------------------

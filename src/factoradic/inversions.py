@@ -28,7 +28,8 @@ class InversionSet:
     __slots__ = ("_ranks",)
 
     def __init__(self, prefix: Sequence[int]):
-        self._ranks = tuple(_ranks(_validate_prefix(prefix)))
+        p, _ = _validate_prefix(prefix)
+        self._ranks = tuple(_ranks(p))
 
     @classmethod
     def _of_permutation(cls, p: tuple[int, ...]) -> InversionSet:

@@ -15,9 +15,13 @@ to an S(k)-entry computation.
 Fixed-point tails count nothing: when the entries from position m on are
 m, m+1, ... and the m before them are all below m, as in a writing padded
 past its digits, every column from m on has c_j = 0.  So a prefix is
-counted only up to that m, and its weights are taken only that far.  For
-an integer n the same holds past its own digits, so ``residue`` takes the
-weights only up to the first j with j! > n, found by one bisect.
+counted only up to that m, and its weights are taken only that far.  The
+tail is found by its shape (a bisect, then one comparison of neighbours),
+and as it is distinct, non-negative and above the m entries before it,
+only those are checked for negative and repeated entries; every entry is
+still checked to be an integer.  For an integer n the same holds past its
+own digits, so ``residue`` takes the weights only up to the first j with
+j! > n, found by one bisect.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from itertools import islice
 from math import factorial
 
 from .core import _check_count, _check_prefix_length, _counts, _digits_minimal, _log2_factorial
-from .core import _moved, _permutation, _ranks, _validate_prefix
+from .core import _permutation, _ranks, _validate_prefix
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet
 
@@ -60,19 +64,17 @@ def _prefix_sum(prefix: Iterable[int], need: int, weights: Iterable[int], k: int
     entries; nothing past them is read, and no weight is taken before they
     have been checked.
 
-    A trailing run of fixed points m, m+1, ... after m entries that are all
-    below m counts no inversions, so only the first m columns are counted and
-    only their weights are taken.
+    A tuple is cut at ``need`` (no copy when it has exactly that many
+    entries); other prefixes are copied once.  Only the columns that
+    :func:`core._validate_prefix` says count, those before a fixed-point
+    tail, are counted, and only their weights are taken.
     """
-    entries = tuple(islice(prefix, need))
+    entries = prefix[:need] if isinstance(prefix, tuple) else tuple(islice(prefix, need))
     if len(entries) < need:
         raise PrefixTooShort(f"need a {need}-prefix, got {len(entries)} entries")
-    head = _validate_prefix(entries)
-    m = _moved(head)
-    if m < need and max(head[:m], default=-1) >= m:
-        m = need
+    p, m = _validate_prefix(entries)
     weights = list(islice(weights, m))
-    return _weighted_sum(_counts(_ranks(head[: len(weights)])), weights, k)
+    return _weighted_sum(_counts(_ranks(p[: len(weights)])), weights, k)
 
 
 def kempner(k: int) -> int:

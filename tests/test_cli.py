@@ -2,7 +2,9 @@
 
 import io
 import json
+import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -240,6 +242,58 @@ def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
     assert run_cli(capsys, "rule", "7") == (1, "", "error: out of memory\n")
 
 
+def test_interrupt_prints_one_line_and_dies_by_sigint(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_rule", interrupted)
+    monkeypatch.setattr(signal, "signal", lambda *a: calls.append(("signal", *a)))
+    monkeypatch.setattr(os, "kill", lambda *a: calls.append(("kill", *a)))
+    # with os.kill patched the process lives on, and main returns the status
+    # a shell reports for SIGINT
+    try:
+        got = run_cli(capsys, "rule", "7")
+    except KeyboardInterrupt:
+        pytest.fail("main let KeyboardInterrupt through")
+    assert got == (130, "", "error: interrupted\n")
+    assert calls == [
+        ("signal", signal.SIGINT, signal.SIG_DFL),
+        ("kill", os.getpid(), signal.SIGINT),
+    ]
+
+
+# decode as ``python -m factoradic decode -`` runs it, except that stdin's
+# readline first writes "reading" to stdout: that line comes from inside
+# main(), so a SIGINT sent after it meets main's handler, not start-up
+_DECODE_WITH_MARKER = """
+import sys
+from factoradic import cli
+
+class Stdin:
+    def readline(self):
+        print("reading", flush=True)
+        return sys.__stdin__.readline()
+
+sys.stdin = Stdin()
+sys.exit(cli.main(["decode", "-"]))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+def test_sigint_while_decode_waits_on_stdin_gives_one_line():
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DECODE_WITH_MARKER],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "reading\n"
+        proc.send_signal(signal.SIGINT)  # stdin stays open: readline blocks
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out, err) == (-signal.SIGINT, "", "error: interrupted\n")
+
+
 def test_malformed_input_exits_1(capsys):
     assert run_cli(capsys, "encode", "-5")[0] == 1
     assert run_cli(capsys, "decode", "(1, 1)")[0] == 1
@@ -386,11 +440,12 @@ def test_json_n_is_the_text_of_json_dumps(capsys, monkeypatch, n):
 
 
 def test_import_loads_no_dataclasses_inspect_json_or_typing():
-    # what the package import adds; plain output needs none of the three
+    # what the package import adds: plain output needs none of these, and
+    # signal is imported only when an interrupt is handled
     code = (
         "import sys; before = set(sys.modules); "
         "import factoradic, factoradic.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'json', 'typing'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'json', 'signal', 'typing'} & (set(sys.modules) - before)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factoradic import (
+    DivisibilityRule,
     DuplicateEntry,
     InvalidDigit,
     ModulusZero,
@@ -25,7 +26,9 @@ from factoradic import (
     digits_from_integer,
     digits_from_permutation,
     encode,
+    evaluate_rule,
     format_permutation,
+    generate_rule,
     integer_from_digits,
     inversion_set,
     minimal_form,
@@ -222,6 +225,67 @@ def test_padding_never_reaches_the_kernels(big_perm, monkeypatch):
     assert permutation_from_digits(d) == w
     assert minimal_form(w) == w[:m]
     assert m in sizes and max(sizes) == m
+
+
+def _moved_by_scan(p):
+    return max((j + 1 for j, x in enumerate(p) if x != j), default=0)
+
+
+@st.composite
+def heads_and_runs(draw):
+    """A head of small ints, then a run of fixed points.  Some head entries
+    are fixed points, most often where a bisect over the whole probes first:
+    at half its length, a quarter, an eighth, ..."""
+    head = draw(st.lists(st.integers(-2, 40), max_size=40))
+    s = len(head) + draw(st.integers(0, 60))
+    positions = [s >> i for i in range(1, 8) if s >> i < len(head)] + list(range(len(head)))
+    for j in draw(st.sets(st.sampled_from(positions))) if positions else ():
+        head[j] = j
+    return (*head, *range(len(head), s))
+
+
+@example((1, 0, 2, 3, 4, 6, 5, 7, 8))  # the bisect probes 4 and 2, both fixed
+@example((0,))
+@example(())
+@given(heads_and_runs())
+def test_moved_finds_the_padding_as_a_scan_does(p):
+    assert core._moved(p) == _moved_by_scan(p)
+
+
+@example((5, 1, 2, 3))  # a run, but below the head: every column counts
+@example((1, 0, 2, 3, 3, 5))
+@example(())
+@given(heads_and_runs())
+def test_prefix_checks_read_the_run_by_its_shape(p):
+    # the same errors, in the same order, as checks over every entry
+    if not p:
+        error = PrefixTooShort
+    elif min(p) < 0:
+        error = NotAPermutation
+    elif len(set(p)) != len(p):
+        error = DuplicateEntry
+    else:
+        digits = tuple(sum(x > y for x in p[:j]) for j, y in enumerate(p))
+        assert digits_from_permutation(p) == digits
+        assert inversion_set(p).counts_by_larger() == digits
+        return
+    for call in (digits_from_permutation, inversion_set):
+        with pytest.raises(error):
+            call(p)
+
+
+def test_moved_falls_back_to_the_scan_when_the_bisect_is_misled(monkeypatch):
+    scans = []
+    def counted(items):
+        scans.append(1)
+        return bytes(items)
+    monkeypatch.setattr(core, "bytes", counted, raising=False)
+    # the bisect probes 4 and 2, both fixed points, and guesses 2; the scan
+    # finds the swapped 6 and 5
+    assert core._moved((1, 0, 2, 3, 4, 6, 5, 7, 8)) == 7
+    assert scans == [1]
+    assert core._moved((1, 0, 3, 2, 4, 5, 6, 7, 8)) == 4  # the guess holds
+    assert scans == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +709,29 @@ BAD_INPUTS = [
     (inversion_set, ((7, 3, 7),), DuplicateEntry, "repeated entry in (7, 3, 7)"),
     (inversion_set, ((7, -3),), NotAPermutation, "negative entry in (7, -3)"),
     (inversion_set, ((7, 2.5),), TypeError, "'float' object cannot be interpreted as an integer"),
+    # prefixes ending in a run of fixed points, which is checked by its shape:
+    # every entry is still made an int, and the errors come in the same order
+    (residue_from_prefix, ((1, 0, 2.0, 3), 4), TypeError, "'float' object cannot be interpreted as an integer"),
+    (residue_from_prefix, ((1, 0, 2, "3"), 4), TypeError, "'str' object cannot be interpreted as an integer"),
+    (residue_from_prefix, ((1, 0, True, 3), 4), DuplicateEntry, "repeated entry in (1, 0, 1, 3)"),
+    (residue_from_prefix, ((2, 0, 1, 3, 3, 5), 6), DuplicateEntry, "repeated entry in (2, 0, 1, 3, 3, 5)"),
+    (residue_from_prefix, ((2, 0, 2, 3), 4), DuplicateEntry, "repeated entry in (2, 0, 2, 3)"),  # m = 2 before the run
+    (residue_from_prefix, ((1, -1, 2, 3), 4), NotAPermutation, "negative entry in (1, -1, 2, 3)"),
+    (residue_from_prefix, (iter((1.5, "x")), 3), PrefixTooShort, "need a 3-prefix, got 2 entries"),
+    (evaluate_rule, (generate_rule(4), (1, 0, 2.0, 3)), TypeError, "'float' object cannot be interpreted as an integer"),
+    (evaluate_rule, (generate_rule(4), [1, 0, 2, "3"]), TypeError, "'str' object cannot be interpreted as an integer"),
+    (evaluate_rule, (generate_rule(4), (1, 0, True, 3)), DuplicateEntry, "repeated entry in (1, 0, 1, 3)"),
+    (evaluate_rule, (generate_rule(7), (2, 0, 1, 3, 3, 5, 6)), DuplicateEntry, "repeated entry in (2, 0, 1, 3, 3, 5, 6)"),
+    (evaluate_rule, (generate_rule(4), (1, 3, 0, 3)), DuplicateEntry, "repeated entry in (1, 3, 0, 3)"),
+    (evaluate_rule, (generate_rule(4), (1, -1, 2, 3)), NotAPermutation, "negative entry in (1, -1, 2, 3)"),
+    (evaluate_rule, (generate_rule(4), iter((1.5, "x"))), PrefixTooShort, "need a 4-prefix, got 2 entries"),
+    (evaluate_rule, (DivisibilityRule(5, ()), (1, 2)), PrefixTooShort, "empty prefix"),
+    # digits_from_permutation and inversion_set share that check
+    (digits_from_permutation, ((1, 0, 2.0, 3),), TypeError, "'float' object cannot be interpreted as an integer"),
+    (digits_from_permutation, ([2, 0, 1, 3, 3, 5],), DuplicateEntry, "repeated entry in (2, 0, 1, 3, 3, 5)"),
+    (digits_from_permutation, ((2, 0, 2, 3),), DuplicateEntry, "repeated entry in (2, 0, 2, 3)"),
+    (inversion_set, ((1, -1, 2, 3),), NotAPermutation, "negative entry in (1, -1, 2, 3)"),
+    (inversion_set, ((1, 0, True, 3),), DuplicateEntry, "repeated entry in (1, 0, 1, 3)"),
 ]
 
 

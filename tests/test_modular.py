@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from itertools import count
 from math import factorial
 
@@ -259,6 +260,44 @@ def test_padded_writing_counts_only_its_moved_columns(monkeypatch):
         assert divisible(w, k) == (n % k == 0)
         assert evaluate_rule(generate_rule(k), w) == n % k
     assert sizes and max(sizes) <= m
+
+
+def test_padding_is_checked_without_an_object_per_entry():
+    # a tuple of ints is read in place, and at most one copy of 8 bytes an
+    # entry is made of other prefixes; a set over the entries, or an int per
+    # padded position, would take 28 bytes an entry or more
+    n = random.Random(11).randrange(10**9999, 10**10000)
+    k = 10**5
+    w = encode(n, k)
+    as_list = list(w)
+    tracemalloc.start()
+    try:
+        assert residue_from_prefix(w, k) == n % k
+        assert residue_from_prefix(as_list, k) == n % k
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * k
+
+
+class _Index:
+    """An integer that is no int, as numpy's are: it only has __index__."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+def test_entries_that_are_no_ints_are_taken_through_index():
+    n = 10**40 + 7
+    w = encode(n, 80)
+    for k in (7, 30, 80):
+        assert residue_from_prefix(tuple(map(_Index, w)), k) == n % k
+        assert evaluate_rule(generate_rule(k), list(map(_Index, w))) == n % k
+    assert residue_from_prefix((0, True, 2), 3) == 0  # True is 1
+    assert residue_from_prefix((True, 0, 2, 3), 4) == 1
 
 
 def _unadvanced(k):
