@@ -14,7 +14,10 @@ same linear order as comparing sequences at their highest differing position
 two ends of this chain; the digit and permutation halves are exposed
 separately as well.
 
-All functions are pure and safe to call from multiple threads.
+All functions are pure and safe to call from multiple threads.  The one
+shared state is the memo of product-tree weights (``_WEIGHTS``), which depend
+on positions only; it changes only by storing dict items, so at worst two
+threads form the same weight twice.
 """
 
 from __future__ import annotations
@@ -55,11 +58,25 @@ MAX_PREFIX_LENGTH = 10**6
 # from 25,000 up; 3.10 loses 47% at 10,241 and 6% at 14,000.)
 _BIG_PERM = 10_240
 # Integers up to this many bits take the simple divmod loop; above, the
-# product tree.  1,024 bits: loop 40 us, tree 41 us; 1,280 bits: 53 vs 49.
+# product tree.  us per call, best of 7 over 20 n, the tree's weights formed
+# in the call (cold) or kept from an earlier one (warm):
+#   bits     512   768  1,024  1,280  1,536  2,048
+#   loop    16.7  27.2   41.4   59.3   76.7    124
+#   cold    23.7  36.9   41.5   55.8   60.3   86.5
+#   warm    20.1  28.4   34.8   42.0   54.1   64.1
+# Cold, the two tie at 1,024 bits; warm, near 900 (a second sweep, on a
+# slower spell: loop 48.8 and warm 47.6 at 896, 55.1 and 50.0 at 960).
 _BIG_BITS = 1024
 # Product-tree nodes of up to this many positions are leaves, done by one
-# loop of small steps.  Integer -> digits: leaf loop and one more split tie
-# at 64 (6.7 vs 6.4 us); digits -> integer would prefer 256 (under 20%).
+# loop of small steps; every node is this many positions times a power of
+# two.  Integer -> digits, ms, best of 7 interleaved calls (3 at 10^5):
+#   _LEAF            32    64   128   256
+#   s = 1,000 cold  0.56  0.46  0.52  0.64   warm  0.40  0.34  0.38  0.53
+#   s = 10^4  cold  14.1  15.3  15.4  17.6   warm  10.6  10.6  11.4  14.1
+#   s = 3*10^4 cold 98.8  81.7  93.6   106   warm  62.2  68.6  76.8  88.2
+#   s = 10^5  cold   821   762   876     -   warm   550   594   652     -
+# 64 is the best or within 10% of it in every column.  Digits -> integer is
+# flatter: from s = 3,000 up, each _LEAF tried is within 21% of the best.
 _LEAF = 64
 # Divisions whose quotient has at most this many bits go to the builtin
 # ``divmod``; larger ones recurse.  2n-bit by n-bit: builtin 7.8 us and one
@@ -116,20 +133,23 @@ def _validate_digits(digits: Sequence[int]) -> tuple[int, ...]:
     return d
 
 
+def _ints(entries: Sequence[int]) -> tuple[int, ...]:
+    """The entries as a tuple of ints: a tuple of ints as it is, with no copy."""
+    if type(entries) is tuple and operator.countOf(map(type, entries), int) == len(entries):
+        return entries
+    return tuple(map(operator.index, entries))
+
+
 def _validate_prefix(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The entries as ints, and how many of them count: m when they end in a
     run of fixed points m, m+1, ... after m entries that are all below m (see
     :func:`_moved`), else all of them.
 
-    Every entry is checked to be an integer; a tuple of ints is taken as it
-    is, with no copy.  The run is distinct, non-negative and above the m
-    entries before it, so only those are checked for negative and repeated
-    entries.
+    Every entry is checked to be an integer.  The run is distinct,
+    non-negative and above the m entries before it, so only those are
+    checked for negative and repeated entries.
     """
-    if type(entries) is tuple and operator.countOf(map(type, entries), int) == len(entries):
-        p = entries
-    else:
-        p = tuple(map(operator.index, entries))
+    p = _ints(entries)
     if not p:
         raise PrefixTooShort("empty prefix")
     m = _moved(p)
@@ -143,16 +163,19 @@ def _validate_prefix(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return p, m
 
 
-def _validate_complete(entries: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(map(operator.index, entries))
+def _validate_complete(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The entries as ints, and the m of :func:`_moved`: the entries from m on
+    are the fixed points m, m+1, ..., so they are a permutation exactly when
+    the m before them are a permutation of 0..m-1.  Only those m are sorted."""
+    p = _ints(entries)
     if not p:
         raise NotAPermutation("empty sequence; the identity is written as (0,)")
-    s = len(p)
+    m = _moved(p)
     # one sorted list, not sets: at s = 10^5, set(p) == set(range(s)) raised
     # a round trip's peak RSS by 9 MB
-    if sorted(p) != list(range(s)):
-        raise NotAPermutation(f"{p} is not a permutation of 0..{s - 1}")
-    return p
+    if sorted(p[:m]) != list(range(m)):
+        raise NotAPermutation(f"{p} is not a permutation of 0..{len(p) - 1}")
+    return p, m
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +233,42 @@ def _divmod(a: int, b: int) -> tuple[int, int]:
     return q, r
 
 
-def _weights(lo: int, hi: int, tree: dict, whole: bool = True):
-    """The product tree over radix positions [lo, hi): returns hi!/lo!, and
-    stores in tree[lo, mid] the weight mid!/lo! of the left half of every
-    node below, where mid = (lo + hi) // 2.
+# The product tree over radix positions is dyadic: its nodes are [lo, hi)
+# with hi - lo = _LEAF * 2**j and lo a multiple of hi - lo, split at their
+# midpoint mid.  Both directions walk it: a node divides by the weight
+# mid!/lo! of its left half (integer -> digits) or multiplies by it (digits
+# -> integer).  A walk at length s is clipped there: a node whose midpoint
+# is >= s has only its left half walked, and uses no weight.  No weight
+# depends on n or s, so each is formed on first use, from the weights below
+# it, and kept in _WEIGHTS for the life of the process.
+#
+# The memo thus holds the weights of the nodes with mid < s for the largest
+# s seen so far, whatever lengths came before: about s / _LEAF weights, and
+# at each of the log2(s / _LEAF) levels about half of log2(s!) bits.  After
+# s = 10^5 that is 1,562 weights and 1.08 MB; at MAX_PREFIX_LENGTH, an
+# estimate from bit lengths, 15,624 weights and 16.3 MB.
+_WEIGHTS: dict[tuple[int, int], int] = {}
 
-    Both directions walk this tree: a node divides by the weight of its left
-    half (integer -> digits) or multiplies by it (digits -> integer).  Right
-    halves are never used, so with ``whole`` false the products along the
-    right edge, the largest in the tree, are skipped and None is returned.
-    """
+
+def _weight(lo: int, mid: int) -> int:
+    """mid!/lo!, the weight of the left half [lo, mid) of a tree node."""
+    w = _WEIGHTS.get((lo, mid))
+    if w is None:
+        w = _WEIGHTS[lo, mid] = _product(lo, mid)
+    return w
+
+
+def _product(lo: int, hi: int) -> int:
+    """hi!/lo! for a tree node or leaf [lo, hi), from the weights below it."""
     if hi - lo <= _LEAF:
-        return prod(range(lo + 1, hi + 1)) if whole else None
+        return prod(range(lo + 1, hi + 1))
     mid = (lo + hi) // 2
-    left = tree[lo, mid] = _weights(lo, mid, tree)
-    right = _weights(mid, hi, tree, whole)
-    return left * right if whole else None
+    return _weight(lo, mid) * _product(mid, hi)
+
+
+def _root(s: int) -> int:
+    """The end of the smallest tree node [0, hi) that holds s positions."""
+    return _LEAF << ((s - 1) // _LEAF).bit_length()
 
 
 def _log2_factorial(s: int) -> float:
@@ -255,27 +298,36 @@ def _length(n: int) -> int:
     return hi
 
 
-def _extract(n: int, lo: int, hi: int, tree: dict, out: list) -> None:
-    """Write the digits lo..hi-1 of n (n < hi!/lo!) into out[lo:hi]."""
+def _extract(n: int, lo: int, hi: int, out: list) -> None:
+    """Write the digits lo..s-1 of n (n < s!/lo!) into out[lo:s], where
+    s = min(hi, len(out)) and [lo, hi) is a tree node."""
+    s = len(out)
     if hi - lo <= _LEAF:
-        for i in range(lo, hi):
+        for i in range(lo, min(hi, s)):
             n, out[i] = divmod(n, i + 1)
         return
     mid = (lo + hi) // 2
-    q, r = _divmod(n, tree[lo, mid])
-    _extract(r, lo, mid, tree, out)
-    _extract(q, mid, hi, tree, out)
+    if mid >= s:
+        _extract(n, lo, mid, out)
+        return
+    q, r = _divmod(n, _weight(lo, mid))
+    _extract(r, lo, mid, out)
+    _extract(q, mid, hi, out)
 
 
-def _combine(d: Sequence[int], lo: int, hi: int, tree: dict) -> int:
-    """Value of the digit slice d[lo:hi] in units of lo!."""
+def _combine(d: Sequence[int], lo: int, hi: int) -> int:
+    """Value of the digit slice d[lo:hi] in units of lo!, for a tree node
+    [lo, hi); digits past len(d) count as zeros."""
+    s = len(d)
     if hi - lo <= _LEAF:
         v = 0
-        for i in range(hi - 1, lo - 1, -1):
+        for i in range(min(hi, s) - 1, lo - 1, -1):
             v = v * (i + 1) + d[i]
         return v
     mid = (lo + hi) // 2
-    return _combine(d, lo, mid, tree) + tree[lo, mid] * _combine(d, mid, hi, tree)
+    if mid >= s:
+        return _combine(d, lo, mid)
+    return _combine(d, lo, mid) + _weight(lo, mid) * _combine(d, mid, hi)
 
 
 def _digits_minimal(n: int) -> list[int]:
@@ -290,10 +342,8 @@ def _digits_minimal(n: int) -> list[int]:
             d += 1
         return out
     s = _length(n)
-    tree: dict = {}
-    _weights(0, s, tree, whole=False)
     out = [0] * s
-    _extract(n, 0, s, tree, out)
+    _extract(n, 0, _root(s), out)
     return out
 
 
@@ -323,9 +373,7 @@ def _writing(n, length) -> tuple[list[int], int]:
 
 def _integer(d: Sequence[int]) -> int:
     """Kernel of :func:`integer_from_digits`, for valid digits."""
-    tree: dict = {}
-    _weights(0, len(d), tree, whole=False)
-    return _combine(d, 0, len(d), tree)
+    return _combine(d, 0, _root(len(d)))
 
 
 def integer_from_digits(digits: Sequence[int]) -> int:
@@ -483,8 +531,8 @@ def decode(entries: Sequence[int]) -> int:
 
 def minimal_form(entries: Sequence[int]) -> tuple[int, ...]:
     """Strip trailing fixed points down to the shortest writing (length >= 1)."""
-    p = _validate_complete(entries)
-    return p[: max(_moved(p), 1)]
+    p, m = _validate_complete(entries)
+    return p[: max(m, 1)]
 
 
 def compare_factoradic(p: Sequence[int], q: Sequence[int]) -> int:
@@ -496,9 +544,8 @@ def compare_factoradic(p: Sequence[int], q: Sequence[int]) -> int:
     and the one with the *larger* entry there comes first; this makes
     ``compare_factoradic(p, q) < 0`` equivalent to ``decode(p) < decode(q)``.
     """
-    a = _validate_complete(p)
-    b = _validate_complete(q)
-    ma, mb = _moved(a), _moved(b)
+    a, ma = _validate_complete(p)
+    b, mb = _validate_complete(q)
     if ma != mb:  # the writing that moves more entries encodes more
         return 1 if ma > mb else -1
     ra, rb = a[:ma][::-1], b[:mb][::-1]

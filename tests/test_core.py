@@ -1,10 +1,13 @@
 """Codec unit tests: integer <-> digits <-> permutation, ordering, text forms."""
 
 import collections
+import contextlib
 import itertools
 import random
 import re
 import sys
+import threading
+import tracemalloc
 from math import factorial
 from unittest.mock import patch
 
@@ -274,6 +277,43 @@ def test_prefix_checks_read_the_run_by_its_shape(p):
             call(p)
 
 
+@example((2, 0, 2, 3))  # the head holds m
+@example((0, 3, 2, 3, 4))
+@example((0,))
+@example(())
+@given(heads_and_runs())
+def test_complete_checks_read_the_run_by_its_shape(p):
+    # the same errors as a sort of every entry
+    if p and sorted(p) == list(range(len(p))):
+        w = minimal_form(p)
+        assert w == p[: max(_moved_by_scan(p), 1)]
+        assert decode(p) == decode(w)
+        assert compare_factoradic(p, w) == compare_factoradic(w, p) == 0
+        return
+    message = f"{p} is not a permutation of 0..{len(p) - 1}" if p else "empty sequence"
+    for call in (decode, minimal_form, lambda q: compare_factoradic((0,), q)):
+        with pytest.raises(NotAPermutation, match=f"^{re.escape(message)}"):
+            call(p)
+
+
+def test_complete_padding_is_checked_without_an_object_per_entry():
+    # a tuple of ints is read in place and a list copied once, at 8 bytes an
+    # entry; a sort of all entries against range(s) took 56 bytes an entry
+    k = 10**5
+    w = encode(5, k)
+    as_list = list(w)
+    tracemalloc.start()
+    try:
+        assert decode(w) == 5
+        assert decode(as_list) == 5
+        assert minimal_form(w) == (2, 1, 0)
+        assert compare_factoradic(w, as_list) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * k
+
+
 def test_moved_falls_back_to_the_scan_when_the_bisect_is_misled(monkeypatch):
     scans = []
     def counted(items):
@@ -496,6 +536,154 @@ def test_big_digit_accumulate_path():
     n = integer_from_digits(digits)
     assert n == factorial(1500) - 1
     assert digits_from_integer(n) == digits
+
+
+# ---------------------------------------------------------------------------
+# the weight memo: each weight mid!/lo! of the dyadic product tree is formed
+# once per process and kept; these tests empty it and put it back after
+
+@contextlib.contextmanager
+def cleared_memo():
+    saved = dict(core._WEIGHTS)
+    core._WEIGHTS.clear()
+    try:
+        yield core._WEIGHTS
+    finally:
+        core._WEIGHTS.clear()
+        core._WEIGHTS.update(saved)
+
+
+@pytest.fixture
+def memo():
+    with cleared_memo() as weights:
+        yield weights
+
+
+def _of_length(s, seed=0):
+    """An n whose minimal writing has s entries."""
+    return random.Random(seed).randrange(factorial(s - 1), factorial(s))
+
+
+def _left_halves(s):
+    """(lo, mid) of every tree node whose midpoint is below s."""
+    halves = set()
+    half = core._LEAF
+    while half < s:
+        halves.update((lo, lo + half) for lo in range(0, s - half, 2 * half))
+        half *= 2
+    return halves
+
+
+def test_a_second_round_trip_forms_no_weight(memo, monkeypatch):
+    n = _of_length(3000)
+    w = encode(n)
+    formed = []
+    product = core._product
+    def counted(lo, hi):
+        formed.append((lo, hi))
+        return product(lo, hi)
+    monkeypatch.setattr(core, "_product", counted)
+    kept = dict(memo)
+    assert encode(n) == w
+    assert decode(w) == n
+    assert formed == []
+    assert memo.keys() == kept.keys()
+    assert all(memo[key] is kept[key] for key in kept)
+
+
+@pytest.mark.parametrize("order", itertools.permutations((1000, 3000, 10000)))
+def test_the_memo_holds_what_the_largest_length_alone_leaves(memo, order):
+    for s in order:
+        assert decode(encode(_of_length(s))) == _of_length(s)
+    after_all = dict(memo)
+    memo.clear()
+    decode(encode(_of_length(10000)))
+    assert after_all == memo
+    assert memo.keys() == _left_halves(10000)
+
+
+def test_the_memo_holds_the_dyadic_left_halves_and_their_bytes(memo):
+    s = 30000
+    decode(encode(_of_length(s)))
+    assert memo.keys() == _left_halves(s)
+    # each weight mid!/lo! has log2(mid!) - log2(lo!) bits, up to one
+    # rounding; together, half of log2(s!) bits at each level, 0.23 MB here
+    want = sum(core._log2_factorial(mid) - core._log2_factorial(lo) for lo, mid in memo)
+    got = sum(w.bit_length() for w in memo.values())
+    assert abs(got - want) <= len(memo) + 1
+    assert 0.2e6 < got / 8 < 0.25e6
+
+
+def test_the_weights_are_the_factorial_quotients(memo):
+    integer_from_digits((0,) * 2999 + (1,))
+    assert memo.keys() == _left_halves(3000)
+    for (lo, mid), w in memo.items():
+        assert w == factorial(mid) // factorial(lo)
+
+
+# every node size, one position less and one more; the tree is taken at any
+# n (no _BIG_BITS cut), with the memo empty, then kept from the first call
+DYADIC_EDGES = [(core._LEAF << j) + d for j in range(8) for d in (-1, 0, 1)]
+
+
+def _check_tree_paths(s):
+    for n in (_of_length(s, seed=s), factorial(s) - 1):
+        d = digits_from_integer(n)
+        assert list(d) == _digits_by_divmod(n)
+        assert integer_from_digits(d) == n
+
+
+@pytest.mark.parametrize("s", DYADIC_EDGES)
+def test_dyadic_edges_cold_and_warm(s, memo, monkeypatch):
+    monkeypatch.setattr(core, "_BIG_BITS", 0)
+    _check_tree_paths(s)  # cold
+    assert memo.keys() == _left_halves(s)
+    _check_tree_paths(s)  # warm
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 2500), st.integers(2, 2500))
+def test_a_memo_warmed_at_another_length_gives_the_same_results(s, other):
+    with cleared_memo() as weights, patch.object(core, "_BIG_BITS", 0):
+        digits_from_integer(_of_length(other))
+        assert weights.keys() == _left_halves(other)
+        _check_tree_paths(s)
+        assert weights.keys() == _left_halves(max(s, other))
+
+
+def test_threads_sharing_the_memo_agree_with_a_sequential_run(memo):
+    lengths = (1000, 2000, 5000, 10000, 20000)
+    cases = {s: _of_length(s, seed=s) for s in lengths}
+
+    def trip(s):
+        w = encode(cases[s])
+        return w, decode(w), integer_from_digits(digits_from_permutation(w))
+
+    want = {s: trip(s) for s in lengths}
+    sequential = dict(memo)
+    memo.clear()
+    start = threading.Barrier(4)
+    got = collections.defaultdict(list)
+
+    def work(order):
+        start.wait()
+        for s in order:
+            got[s].append(trip(s))
+
+    orders = [lengths, lengths[::-1], lengths[1::2] + lengths[::2], lengths[2:] + lengths[:2]]
+    threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the kernels too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {s: [want[s]] * 4 for s in lengths}
+    assert memo == sequential
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +920,19 @@ BAD_INPUTS = [
     (digits_from_permutation, ((2, 0, 2, 3),), DuplicateEntry, "repeated entry in (2, 0, 2, 3)"),
     (inversion_set, ((1, -1, 2, 3),), NotAPermutation, "negative entry in (1, -1, 2, 3)"),
     (inversion_set, ((1, 0, True, 3),), DuplicateEntry, "repeated entry in (1, 0, 1, 3)"),
+    # complete permutations ending in a run of fixed points are checked by
+    # its shape as well, with the same errors as a sort of every entry
+    (decode, ((1, 0, 2.0, 3),), TypeError, "'float' object cannot be interpreted as an integer"),
+    (decode, ((1, 0, 2, 3, 3, 5),), NotAPermutation, "(1, 0, 2, 3, 3, 5) is not a permutation of 0..5"),
+    (decode, ((1, 0, True, 3),), NotAPermutation, "(1, 0, 1, 3) is not a permutation of 0..3"),
+    (decode, ((2, 0, 2, 3),), NotAPermutation, "(2, 0, 2, 3) is not a permutation of 0..3"),  # m = 2 in the head
+    (decode, ((0, 3, 2, 3, 4),), NotAPermutation, "(0, 3, 2, 3, 4) is not a permutation of 0..4"),
+    (minimal_form, ([1, 0, 2, "3"],), TypeError, "'str' object cannot be interpreted as an integer"),
+    (minimal_form, ((1, 0, True, 3),), NotAPermutation, "(1, 0, 1, 3) is not a permutation of 0..3"),
+    (minimal_form, ((2, 0, 2, 3),), NotAPermutation, "(2, 0, 2, 3) is not a permutation of 0..3"),
+    (compare_factoradic, ((0, 1), (1, 0, 2.5)), TypeError, "'float' object cannot be interpreted as an integer"),
+    (compare_factoradic, ((1, 0, 2, 3, 3, 5), (0,)), NotAPermutation, "(1, 0, 2, 3, 3, 5) is not a permutation of 0..5"),
+    (compare_factoradic, ((0,), (2, 0, 2, 3)), NotAPermutation, "(2, 0, 2, 3) is not a permutation of 0..3"),
 ]
 
 
