@@ -64,13 +64,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit_json(obj: dict) -> None:
-    """Print the text of ``json.dumps(obj)``, with the integer "n" printed by
-    :func:`_format_decimal`: json's own int -> text is quadratic up to
-    CPython 3.11."""
+    """Print the text of ``json.dumps(obj)``, with each top-level int (never
+    negative here; a bool is no int) printed by :func:`_format_decimal`:
+    json's own int -> text is quadratic up to CPython 3.11."""
     import json  # not at the top: plain output never needs it
 
     items = (
-        f"{json.dumps(key)}: {_format_decimal(value) if key == 'n' else json.dumps(value)}"
+        f"{json.dumps(key)}: {_format_decimal(value) if type(value) is int else json.dumps(value)}"
         for key, value in obj.items()
     )
     print("{" + ", ".join(items) + "}")

@@ -123,14 +123,16 @@ def _check_prefix_length(s) -> int:
     return s
 
 
-def _validate_digits(digits: Sequence[int]) -> tuple[int, ...]:
-    d = tuple(map(operator.index, digits))
+def _validate_digits(digits: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The digits as ints, and m, 1 + the index of the last nonzero digit (0
+    if none): the digits from m on are the padding, as in :func:`_moved`."""
+    d = _ints(digits)
     if not d:
         raise InvalidDigit("empty digit sequence; zero is written as (0,)")
     if min(d) < 0 or not all(map(operator.le, d, range(len(d)))):
         i, a = next((i, a) for i, a in enumerate(d) if not 0 <= a <= i)
         raise InvalidDigit(f"digit {a} at index {i} outside 0..{i}")
-    return d
+    return d, len(d) if d[-1] else bytes(map(bool, d)).rfind(1) + 1
 
 
 def _ints(entries: Sequence[int]) -> tuple[int, ...]:
@@ -276,25 +278,24 @@ def _log2_factorial(s: int) -> float:
 
 
 def _length(n: int) -> int:
-    """Smallest s >= 1 with n < s!, for n >= 1.
+    """Smallest s >= 1 with n < s!, for n >= 0: the number of digits n has.
 
     log2(s!) comes from ``math.lgamma``; s! is computed exactly only when it
-    is too close to n to tell in floating point.  Raises ``RangeTooLarge``
-    past MAX_PREFIX_LENGTH.
+    is too close to n to tell in floating point, and is then about the size
+    of n.  No cap is applied: callers check MAX_PREFIX_LENGTH on the answer.
     """
+    if not n:
+        return 1
     bits = log2(n)
     tol = 1e-9 * (bits + 1)  # far above the rounding error of lgamma and log2
-    # (s - 1)! >= 2^(s - 2), so the first s with log2(s!) > bits is below top
-    top = min(n.bit_length() + 3, MAX_PREFIX_LENGTH + 1)
-    hi = bisect_right(range(top), bits, 1, key=_log2_factorial)
-    # now log2((hi - 1)!) <= bits < log2(hi!) up to rounding, unless hi is the
-    # cap; (hi - 2)! is below n by a factor of hi - 1 or more, and (hi + 1)!
-    # above it by hi + 1, so only (hi - 1)! and hi! can be too close to call
+    # (s - 1)! >= 2^(s - 2), so the first s with log2(s!) > bits is in range
+    hi = bisect_right(range(n.bit_length() + 3), bits, 1, key=_log2_factorial)
+    # now log2((hi - 1)!) <= bits < log2(hi!) up to rounding; (hi - 2)! is
+    # below n by a factor of hi - 1 or more, and (hi + 1)! above it by hi + 1,
+    # so only (hi - 1)! and hi! can be too close to call
     for c in (hi - 1, hi):
         if abs(_log2_factorial(c) - bits) <= tol:
-            hi = c + 1 if n >= factorial(c) else c
-            break
-    _check_cap(hi)
+            return c + 1 if n >= factorial(c) else c
     return hi
 
 
@@ -342,6 +343,7 @@ def _digits_minimal(n: int) -> list[int]:
             d += 1
         return out
     s = _length(n)
+    _check_cap(s)
     out = [0] * s
     _extract(n, 0, _root(s), out)
     return out
@@ -378,7 +380,8 @@ def _integer(d: Sequence[int]) -> int:
 
 def integer_from_digits(digits: Sequence[int]) -> int:
     """Evaluate sum a_i * i! for a factorial-base digit sequence."""
-    return _integer(_validate_digits(digits))
+    d, m = _validate_digits(digits)
+    return _integer(d[:m])
 
 
 def minimal_prefix_length(n: int) -> int:
@@ -386,8 +389,9 @@ def minimal_prefix_length(n: int) -> int:
 
     Raises ``RangeTooLarge`` when s would exceed MAX_PREFIX_LENGTH.
     """
-    n = _check_count(n)
-    return _length(n) if n else 1
+    s = _length(_check_count(n))
+    _check_cap(s)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +496,8 @@ def permutation_from_digits(digits: Sequence[int]) -> tuple[int, ...]:
     Positions are filled from the right: position j receives the unused value
     with exactly digits[j] unused values above it.
     """
-    d = _validate_digits(digits)
+    d, m = _validate_digits(digits)
     _check_cap(len(d))
-    m = len(d) if d[-1] else bytes(map(bool, d)).rfind(1) + 1  # d[m:] are zeros
     return _permutation(d[:m], len(d))
 
 

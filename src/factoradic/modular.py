@@ -20,19 +20,18 @@ tail is found by its shape (a bisect, then one comparison of neighbours),
 and as it is distinct, non-negative and above the m entries before it,
 only those are checked for negative and repeated entries; every entry is
 still checked to be an integer.  For an integer n the same holds past its
-own digits, so ``residue`` takes the weights only up to the first j with
-j! > n, found by one bisect.
+own digits, so ``residue`` takes only as many weights as n has digits, the
+length :func:`core._length` finds for every entry point.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
-from math import factorial
+from math import factorial, lgamma, log
 
-from .core import _check_count, _check_prefix_length, _counts, _digits_minimal, _log2_factorial
+from .core import _check_count, _check_prefix_length, _counts, _digits_minimal, _length
 from .core import _permutation, _ranks, _validate_prefix
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet
@@ -96,20 +95,16 @@ def residue(n: int, k: int) -> int:
     """n mod k as the weighted sum of n's own factorial-base digits.
 
     Digit j is column j's inversion count, weighted by j! mod k.  Weights
-    are formed only while j! may be <= n, about min(S(k), digits of n) of
-    them, with O(log) ``lgamma`` calls, and n is reduced mod S(k)! only when
-    it may have more than S(k) digits, so neither k entries nor k! are ever
-    built.  Agrees with plain ``n % k``.
+    are formed only for n's digits, min(S(k), digits of n) of them, with
+    O(log) ``lgamma`` calls, and n is reduced mod S(k)! only when it has more
+    than S(k) digits, so neither k entries nor k! are ever built.  Agrees
+    with plain ``n % k``.
     """
     n = _check_count(n)
     k = _check_modulus(k)
-    # weights are needed below the cut, the first j with j! > n for sure (one
-    # bit of margin over the rounding of lgamma); (j - 1)! >= 2^(j - 2) puts
-    # the cut below bits + 3
-    bits = n.bit_length() + 1
-    cut = bisect_right(range(bits + 3), bits, key=_log2_factorial)
-    weights = list(islice(_factorials_mod(k), cut))
-    if len(weights) < cut:  # S(k) came before the cut
+    s = _length(n)
+    weights = list(islice(_factorials_mod(k), s))
+    if len(weights) < s:  # S(k) comes before n's last digit
         n %= factorial(len(weights))
     return _weighted_sum(_digits_minimal(n), weights, k)
 
@@ -122,8 +117,8 @@ def prefix_inversions(n: int, s: int) -> InversionSet:
     """
     n = _check_count(n)
     s = _check_prefix_length(s)
-    # one bit of margin over the rounding of lgamma, as in residue
-    if _log2_factorial(s) <= n.bit_length() + 1:
+    # n may reach s!: one bit of margin over the rounding of lgamma
+    if lgamma(s + 1) <= (n.bit_length() + 1) * log(2):
         n %= factorial(s)
     return InversionSet._of_permutation(_permutation(_digits_minimal(n), s))
 

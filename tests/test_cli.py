@@ -418,6 +418,9 @@ JSON_INTEGERS = {
 }
 
 
+_BIG_MODULI = (_n_of_length(2001), _n_of_length(5001))
+
+
 @pytest.mark.parametrize("n", JSON_INTEGERS.values(), ids=JSON_INTEGERS.keys())
 def test_json_n_is_the_text_of_json_dumps(capsys, monkeypatch, n):
     text = cli._format_decimal(n)
@@ -432,11 +435,14 @@ def test_json_n_is_the_text_of_json_dumps(capsys, monkeypatch, n):
         (["digits", text], {"n": n, "digits": list(digits_from_integer(n))}),
         (["mod", text, "7"], {"n": n, "k": 7, "residue": n % 7}),
         (["decode", format_permutation(perm)], {"permutation": perm, "n": n}),
+        # a K past the split cutoff, and past the int/str limit
+        *((["mod", text, str(k)], {"n": n, "k": k, "residue": n % k}) for k in _BIG_MODULI),
     ]
     for argv, obj in cases:
+        calls.clear()
         got = run_cli(capsys, *argv, "--format", "json")
         assert got == (0, json.dumps(obj) + "\n", "")
-    assert calls == [n] * 4  # one call per command, for the "n" field
+        assert calls == [v for v in obj.values() if type(v) is int]  # one call per int field
 
 
 def test_import_loads_no_dataclasses_inspect_json_or_typing():

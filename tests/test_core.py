@@ -120,25 +120,24 @@ def test_minimal_prefix_length_at_factorials_up_to_3000():
 
 
 # (cap, j) -> what n = j! - 1, j!, j! + 1 give with MAX_PREFIX_LENGTH = cap:
-# a length, or, as a string, the length a RangeTooLarge message names.  Past
-# the cap the message names where the search stopped, cap + 1, or one more
-# when the exact check finds n >= (cap + 1)!, not the length n needs.
+# the length n needs, or, as a string, that length named by a RangeTooLarge
+# message, the same from every entry point
 CAPPED_LENGTHS = {
     (1, 1): (1, "2", "3"),
-    (1, 2): ("2", "3", "2"),
-    (1, 3): ("2", "2", "2"),
+    (1, 2): ("2", "3", "3"),
+    (1, 3): ("3", "4", "4"),
     (2, 1): (1, 2, "3"),
     (2, 2): (2, "3", "3"),
-    (2, 3): ("3", "4", "3"),
-    (2, 4): ("3", "3", "3"),
+    (2, 3): ("3", "4", "4"),
+    (2, 4): ("4", "5", "5"),
     (5, 4): (4, 5, 5),
     (5, 5): (5, "6", "6"),
-    (5, 6): ("6", "7", "6"),
-    (5, 7): ("6", "6", "6"),
+    (5, 6): ("6", "7", "7"),
+    (5, 7): ("7", "8", "8"),
     (200, 199): (199, 200, 200),
     (200, 200): (200, "201", "201"),
     (200, 201): ("201", "202", "202"),
-    (200, 202): ("201", "201", "201"),
+    (200, 202): ("202", "203", "203"),
 }
 
 
@@ -149,10 +148,12 @@ def test_minimal_prefix_length_under_a_patched_cap(cap, j):
             n = factorial(j) + d
             if isinstance(want, int):
                 assert minimal_prefix_length(n) == want
+                assert len(digits_from_integer(n)) == len(encode(n)) == want
                 continue
             message = f"^prefix length {want} exceeds MAX_PREFIX_LENGTH={cap}$"
-            with pytest.raises(RangeTooLarge, match=message):
-                minimal_prefix_length(n)
+            for call in (minimal_prefix_length, digits_from_integer, encode):
+                with pytest.raises(RangeTooLarge, match=message):
+                    call(n)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,9 @@ def test_padded_writings_agree_with_the_minimal_one(n, pad):
     assert minimal_form(padded) == w
     d = digits_from_permutation(padded)
     assert d == digits_from_integer(n) + (0,) * pad
-    assert permutation_from_digits(d) == padded
+    for digits in (d, list(d)):  # a tuple of ints is read in place, a list copied
+        assert permutation_from_digits(digits) == padded
+        assert integer_from_digits(digits) == n
 
 
 @given(st.integers(0, 10**150), st.data())
@@ -614,6 +617,12 @@ def test_the_memo_holds_the_dyadic_left_halves_and_their_bytes(memo):
     assert 0.2e6 < got / 8 < 0.25e6
 
 
+def test_padded_digits_form_no_weight(memo):
+    # the digits of 5 and 10^5 zeros: only the three moved digits are summed
+    assert integer_from_digits((0, 1, 2) + (0,) * 10**5) == 5
+    assert memo == {}
+
+
 def test_the_weights_are_the_factorial_quotients(memo):
     integer_from_digits((0,) * 2999 + (1,))
     assert memo.keys() == _left_halves(3000)
@@ -933,6 +942,14 @@ BAD_INPUTS = [
     (compare_factoradic, ((0, 1), (1, 0, 2.5)), TypeError, "'float' object cannot be interpreted as an integer"),
     (compare_factoradic, ((1, 0, 2, 3, 3, 5), (0,)), NotAPermutation, "(1, 0, 2, 3, 3, 5) is not a permutation of 0..5"),
     (compare_factoradic, ((0,), (2, 0, 2, 3)), NotAPermutation, "(2, 0, 2, 3) is not a permutation of 0..3"),
+    # digits whose padding is found by one scan: every digit is still made an
+    # int and range-checked, with the same errors
+    (integer_from_digits, ((0, 1, 0, 4, 0, 0),), InvalidDigit, "digit 4 at index 3 outside 0..3"),
+    (integer_from_digits, ([0, 1, 0, 0, 0, 0.0],), TypeError, "'float' object cannot be interpreted as an integer"),
+    (integer_from_digits, ((0, True, 0, 0, 9),), InvalidDigit, "digit 9 at index 4 outside 0..4"),
+    (permutation_from_digits, ((0, 0, 0, -1, 0, 0),), InvalidDigit, "digit -1 at index 3 outside 0..3"),
+    (permutation_from_digits, ([0, 1, 0, 0, "0"],), TypeError, "'str' object cannot be interpreted as an integer"),
+    (permutation_from_digits, ((0, 0, 3, 0),), InvalidDigit, "digit 3 at index 2 outside 0..2"),
 ]
 
 

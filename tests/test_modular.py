@@ -3,7 +3,6 @@
 import random
 import time
 import tracemalloc
-from itertools import count
 from math import factorial
 
 import pytest
@@ -216,19 +215,18 @@ def test_residue_finds_the_weight_cut_with_few_lgamma_calls(monkeypatch):
     # a 10^4-digit n has about 3,250 digits; before, each weight took one call
     n = random.Random(9).randrange(10**9999, 10**10000)
     calls = []
-    log2_factorial = modular._log2_factorial
+    log2_factorial = core._log2_factorial
     def counted(s):
         calls.append(s)
         return log2_factorial(s)
-    monkeypatch.setattr(modular, "_log2_factorial", counted)
+    monkeypatch.setattr(core, "_log2_factorial", counted)
     assert residue(n, 65521) == n % 65521
     assert len(calls) <= 64
 
 
 def test_residue_takes_the_weights_below_the_cut_and_no_more(monkeypatch):
-    # the cut is the first j with log2(j!) > n.bit_length() + 1, one bit of
-    # margin over the rounding of lgamma; a prime k past the cut leaves the
-    # cut to decide
+    # the cut is n's length, the first j with j! > n; a prime k past the cut
+    # leaves the cut to decide
     taken = []
     factorials_mod = modular._factorials_mod
     def counted(k):
@@ -238,10 +236,9 @@ def test_residue_takes_the_weights_below_the_cut_and_no_more(monkeypatch):
     monkeypatch.setattr(modular, "_factorials_mod", counted)
     big = random.Random(9).randrange(10**9999, 10**10000)
     for n in (*range(300), *(factorial(j) + d for j in range(2, 40) for d in (-1, 0, 1)), big):
-        cut = next(j for j in count() if modular._log2_factorial(j) > n.bit_length() + 1)
         taken.clear()
         assert residue(n, 65521) == n % 65521
-        assert len(taken) == cut
+        assert len(taken) == minimal_prefix_length(n)
 
 
 def test_padded_writing_counts_only_its_moved_columns(monkeypatch):
