@@ -42,7 +42,7 @@ from .errors import (
 #: Module-level and adjustable by callers who know what they are doing.
 MAX_PREFIX_LENGTH = 10**6
 
-# The crossovers below are timeit minima on CPython 3.11.7 (2 vCPU x86-64).
+# The four crossovers below are timeit minima on CPython 3.11.7 (2 vCPU x86-64).
 #
 # Permutations of up to this many entries take the one-list kernels; longer
 # ones cut the pool into blocks of this many values.  _permutation plus
@@ -81,17 +81,11 @@ _LEAF = 64
 # Divisions whose quotient has at most this many bits go to the builtin
 # ``divmod``; larger ones recurse.  2n-bit by n-bit: builtin 7.8 us and one
 # level of recursion 8.5 us at n = 2,000; 11.6 vs 11.5 at 2,500; 16.5 vs 15.2
-# at 3,000.  (CPython 3.13: the tie is at 3,000.)
+# at 3,000.  (CPython 3.13: the tie is at 3,000.)  Decimal text splits at
+# the same size: a value of at most this many bits, or text of at most 3/10
+# as many digits (a digit is under 10/3 bits), goes to the builtin int/str.
+# CHANGES.md has the sweep of this base case on four interpreters.
 _DIV_CUTOFF = 2500
-# Decimal text of up to this many digits goes to the builtin ``int``/``str``;
-# longer text is split at powers of ten.  Builtin against one split (powers
-# of ten at hand), us, two runs: int 53/55 and 41/47 at 2,000 digits, 85/101
-# and 58/56 at 3,000, 182/167 and 109/89 at 4,000; str 21/20 and 21/17 at
-# 1,000, 47/41 and 46/41 at 1,500.  int crosses near 3,000 and str near
-# 1,000; whole calls at 10^5 digits took the same for any cutoff from 500 to
-# 3,000.  (CPython 3.12.1 and 3.13.0, whose builtins are subquadratic: at
-# 10^5 digits the split is slower by 9% and 6% for int, 36% and 3% for str.)
-_DEC_CUTOFF = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -99,26 +93,42 @@ _DEC_CUTOFF = 2000
 #
 # Every public function checks its input once, here, and then hands it to
 # unchecked kernels.  The checks are C-level passes (map, min, set, sorted); an
-# error message is worked out only once a check has failed.
+# error message is worked out only once a check has failed, and its integers
+# are printed by :func:`_text`.
+
+def _text(x) -> str:
+    """``str(x)`` for an int or a tuple of ints, at any size.
+
+    CPython's ``str`` refuses an int of more than 4,300 digits unless that
+    limit is lifted.  So an int is printed by :func:`_format_decimal`, whose
+    base case is ``str``, and a tuple by ``str`` unless it holds such an int.
+    """
+    if isinstance(x, tuple):
+        try:
+            return str(x)
+        except ValueError:
+            return f"({', '.join(map(_text, x))}{',' * (len(x) == 1)})"
+    return "-" + _format_decimal(-x) if x < 0 else _format_decimal(x)
+
 
 def _check_count(n) -> int:
     n = operator.index(n)
     if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
+        raise ValueError(f"expected a non-negative integer, got {_text(n)}")
     return n
 
 
 def _check_cap(s: int) -> None:
     if s > MAX_PREFIX_LENGTH:
         raise RangeTooLarge(
-            f"prefix length {s} exceeds MAX_PREFIX_LENGTH={MAX_PREFIX_LENGTH}"
+            f"prefix length {_text(s)} exceeds MAX_PREFIX_LENGTH={MAX_PREFIX_LENGTH}"
         )
 
 
 def _check_prefix_length(s) -> int:
     s = operator.index(s)
     if s < 1:
-        raise PrefixTooShort(f"prefix length must be >= 1, got {s}")
+        raise PrefixTooShort(f"prefix length must be >= 1, got {_text(s)}")
     _check_cap(s)
     return s
 
@@ -131,7 +141,7 @@ def _validate_digits(digits: Sequence[int]) -> tuple[tuple[int, ...], int]:
         raise InvalidDigit("empty digit sequence; zero is written as (0,)")
     if min(d) < 0 or not all(map(operator.le, d, range(len(d)))):
         i, a = next((i, a) for i, a in enumerate(d) if not 0 <= a <= i)
-        raise InvalidDigit(f"digit {a} at index {i} outside 0..{i}")
+        raise InvalidDigit(f"digit {_text(a)} at index {i} outside 0..{i}")
     return d, len(d) if d[-1] else bytes(map(bool, d)).rfind(1) + 1
 
 
@@ -157,11 +167,11 @@ def _validate_prefix(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
     m = _moved(p)
     head = p[:m]
     if min(head, default=0) < 0:
-        raise NotAPermutation(f"negative entry in {p}")
+        raise NotAPermutation(f"negative entry in {_text(p)}")
     if max(head, default=-1) >= m:  # the run, if any, is no fixed-point tail
         head, m = p, len(p)
     if len(set(head)) != m:
-        raise DuplicateEntry(f"repeated entry in {p}")
+        raise DuplicateEntry(f"repeated entry in {_text(p)}")
     return p, m
 
 
@@ -176,7 +186,7 @@ def _validate_complete(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
     # one sorted list, not sets: at s = 10^5, set(p) == set(range(s)) raised
     # a round trip's peak RSS by 9 MB
     if sorted(p[:m]) != list(range(m)):
-        raise NotAPermutation(f"{p} is not a permutation of 0..{len(p) - 1}")
+        raise NotAPermutation(f"{_text(p)} is not a permutation of 0..{len(p) - 1}")
     return p, m
 
 
@@ -361,16 +371,22 @@ def digits_from_integer(n: int, length: int | None = None) -> tuple[int, ...]:
 
 
 def _writing(n, length) -> tuple[list[int], int]:
-    """n's minimal digits d, and its writing's length: len(d), or the checked ``length``."""
+    """n's minimal digits d, and its writing's length: len(d), or the checked
+    ``length``, which is checked before any digit is found."""
     n = _check_count(n)
-    d = _digits_minimal(n)
-    s = len(d) if length is None else operator.index(length)
+    if length is None:
+        d = _digits_minimal(n)
+        _check_cap(len(d))
+        return d, len(d)
+    need = _length(n)
+    _check_cap(need)
+    s = operator.index(length)
     if s < 1:
-        raise PrefixTooShort(f"length must be >= 1, got {s}")
+        raise PrefixTooShort(f"length must be >= 1, got {_text(s)}")
     _check_cap(s)
-    if s < len(d):
-        raise PrefixTooShort(f"n = {n} needs at least {len(d)} digits, got length {s}")
-    return d, s
+    if s < need:
+        raise PrefixTooShort(f"n = {_text(n)} needs at least {need} digits, got length {s}")
+    return _digits_minimal(n), s
 
 
 def _integer(d: Sequence[int]) -> int:
@@ -564,20 +580,21 @@ def format_permutation(entries: Sequence[int]) -> str:
 
 
 def _parse_decimal(text: str) -> int:
-    """``int(text)``, with a long plain ASCII digit string split at powers of
-    ten: the halves are parsed apart and joined by one multiplication, which
-    is subquadratic where the builtin is not (CPython up to 3.11).
+    """``int(text)``, with a plain ASCII digit string of more than
+    ``_DIV_CUTOFF * 3 // 10`` digits split at powers of ten: the halves are
+    parsed apart and joined by one multiplication, which is subquadratic
+    where the builtin is not (CPython up to 3.11).
 
     Every other text, signs, blanks, underscores and non-ASCII digits
     included, goes to ``int`` unchanged, errors and all.
     """
-    if len(text) <= _DEC_CUTOFF or not (text.isascii() and text.isdigit()):
+    if len(text) <= _DIV_CUTOFF * 3 // 10 or not (text.isascii() and text.isdigit()):
         return int(text)
     return _parse_digits(text, 0, len(text), {})
 
 
 def _parse_digits(text: str, lo: int, hi: int, pow10: dict) -> int:
-    if hi - lo <= _DEC_CUTOFF:
+    if hi - lo <= _DIV_CUTOFF * 3 // 10:
         return int(text[lo:hi])
     k = (hi - lo) // 2  # digits in the low half
     high = _parse_digits(text, lo, hi - k, pow10)
@@ -585,19 +602,19 @@ def _parse_digits(text: str, lo: int, hi: int, pow10: dict) -> int:
 
 
 def _format_decimal(n: int) -> str:
-    """``str(n)`` for n >= 0, with a long n split at powers of ten by
-    :func:`_divmod`, the halves printed apart and zero-padded."""
-    width = int(n.bit_length() * log10(2)) + 1  # n's digits, or one more
-    if width <= _DEC_CUTOFF:
+    """``str(n)`` for n >= 0, with an n of more than ``_DIV_CUTOFF`` bits
+    split at powers of ten by :func:`_divmod`, the halves printed apart and
+    zero-padded."""
+    if n.bit_length() <= _DIV_CUTOFF:
         return str(n)
     out: list[str] = []
-    _format_digits(n, width, {}, out)
+    _format_digits(n, int(n.bit_length() * log10(2)) + 1, {}, out)  # n's digits, or one more
     return "".join(out).lstrip("0")
 
 
 def _format_digits(n: int, width: int, pow10: dict, out: list) -> None:
     """Append n < 10**width to out as width digits, zero-padded."""
-    if width <= _DEC_CUTOFF:
+    if n.bit_length() <= _DIV_CUTOFF:
         out.append(str(n).zfill(width))
         return
     k = width // 2  # digits in the low half

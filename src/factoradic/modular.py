@@ -29,10 +29,10 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
-from math import factorial, lgamma, log
+from math import factorial
 
 from .core import _check_count, _check_prefix_length, _counts, _digits_minimal, _length
-from .core import _permutation, _ranks, _validate_prefix
+from .core import _log2_factorial, _permutation, _ranks, _text, _validate_prefix
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet
 
@@ -40,7 +40,7 @@ from .inversions import InversionSet
 def _check_modulus(k) -> int:
     k = operator.index(k)
     if k < 1:
-        raise ModulusZero(f"modulus must be >= 1, got {k}")
+        raise ModulusZero(f"modulus must be >= 1, got {_text(k)}")
     return k
 
 
@@ -118,7 +118,7 @@ def prefix_inversions(n: int, s: int) -> InversionSet:
     n = _check_count(n)
     s = _check_prefix_length(s)
     # n may reach s!: one bit of margin over the rounding of lgamma
-    if lgamma(s + 1) <= (n.bit_length() + 1) * log(2):
+    if _log2_factorial(s) <= n.bit_length() + 1:
         n %= factorial(s)
     return InversionSet._of_permutation(_permutation(_digits_minimal(n), s))
 

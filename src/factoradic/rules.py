@@ -27,7 +27,7 @@ from itertools import repeat
 from math import isqrt
 
 from . import core
-from .errors import ModulusTooSmall, PrefixTooShort, RangeTooLarge
+from .errors import ModulusTooSmall, RangeTooLarge
 from .modular import _factorials_mod, _prefix_sum
 
 _FORMATS = ("plain", "latex", "json")
@@ -108,7 +108,7 @@ def _check_at_least_two(k, name: str) -> int:
     except TypeError:
         raise ModulusTooSmall(f"{name} must be an integer >= 2, got {k!r}") from None
     if k < 2:
-        raise ModulusTooSmall(f"{name} must be >= 2, got {k}")
+        raise ModulusTooSmall(f"{name} must be >= 2, got {core._text(k)}")
     return k
 
 

@@ -7,8 +7,9 @@ import random
 import re
 import sys
 import threading
+import time
 import tracemalloc
-from math import factorial
+from math import factorial, log10
 from unittest.mock import patch
 
 import pytest
@@ -19,6 +20,7 @@ from factoradic import (
     DivisibilityRule,
     DuplicateEntry,
     InvalidDigit,
+    ModulusTooSmall,
     ModulusZero,
     NotAPermutation,
     ParseError,
@@ -39,6 +41,7 @@ from factoradic import (
     parse_permutation,
     permutation_from_digits,
     prefix_inversions,
+    residue,
     residue_from_prefix,
 )
 import factoradic.core as core
@@ -745,38 +748,71 @@ def test_divmod_straddles_the_real_cutoff():
 
 # ---------------------------------------------------------------------------
 # decimal text split at powers of ten, with the builtin int and str as the
-# reference; a low cutoff sends short text through every level of the split
+# reference.  Text of up to _DIV_CUTOFF * 3 // 10 digits, and values of up to
+# _DIV_CUTOFF bits, go to the builtins; a low _DIV_CUTOFF sends short text
+# through every level of the split.
+
+def digit_cutoff(digits):
+    """Patch _DIV_CUTOFF so that text of up to ``digits`` digits is the base case."""
+    return patch.object(core, "_DIV_CUTOFF", -(-10 * digits // 3))
+
 
 @settings(max_examples=300)
 @given(st.sampled_from([1, 2, 7]), st.text("0123456789", min_size=1, max_size=200))
 def test_parse_decimal_matches_int(cutoff, text):
-    with patch.object(core, "_DEC_CUTOFF", cutoff):
+    with digit_cutoff(cutoff):
         assert core._parse_decimal(text) == int(text)
 
 
 @settings(max_examples=300)
 @given(st.sampled_from([1, 2, 7]), st.integers(0, 10**200))
 def test_format_decimal_matches_str(cutoff, n):
-    with patch.object(core, "_DEC_CUTOFF", cutoff):
+    with digit_cutoff(cutoff):
         assert core._format_decimal(n) == str(n)
         assert core._parse_decimal(str(n)) == n
 
 
-@pytest.fixture
-def unlimited_int_text():
-    """Lift CPython's 4300-digit int/str limit, as the CLI does, then restore it."""
+@contextlib.contextmanager
+def int_text_limit(digits):
+    """CPython's limit on int/str conversion set to ``digits`` (0: none), then restored."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(saved)
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def unlimited_int_text():
+    """Lift CPython's 4300-digit int/str limit, as the CLI does."""
+    with int_text_limit(0):
+        yield
+
+
+def test_decimal_text_around_the_base_case_and_its_doublings(unlimited_int_text):
+    rng = random.Random(15)
+    digits, bits = core._DIV_CUTOFF * 3 // 10, core._DIV_CUTOFF
+    for j in range(5):
+        for d in (-1, 0, 1):
+            w = (digits << j) + d
+            for text in (str(10**w), "9" * w, "".join(rng.choices("0123456789", k=w))):
+                assert core._parse_decimal(text) == int(text)
+            b = (bits << j) + d
+            for n in (1 << (b - 1), rng.getrandbits(b) | 1 << (b - 1), (1 << b) - 1):
+                assert core._format_decimal(n) == str(n)
+        w = int((bits << j) * log10(2))  # 10^w is about (bits << j) bits long
+        for n in (10 ** (w - 1), 10**w - 1, 10**w, 10 ** (w + 1) - 1, 10 ** (w + 1)):
+            assert core._format_decimal(n) == str(n)
+            assert core._parse_decimal(str(n)) == n
 
 
 def test_decimal_straddles_the_real_cutoff(unlimited_int_text):
     rng = random.Random(6)
-    cut = core._DEC_CUTOFF
+    cut = core._DIV_CUTOFF * 3 // 10
     for length in (cut - 1, cut, cut + 1, 2 * cut, 2 * cut + 1, 5 * cut + 7):
         text = rng.choice("123456789") + "".join(rng.choices("0123456789", k=length - 1))
         n = int(text)
@@ -789,9 +825,9 @@ def test_decimal_straddles_the_real_cutoff(unlimited_int_text):
 def test_long_non_plain_decimal_text_goes_to_int(cutoff, unlimited_int_text):
     # int() quotes at most 200 characters of bad text, so a low cutoff is
     # what lets a split show in the error message
-    cut = cutoff or core._DEC_CUTOFF
+    cut = cutoff or core._DIV_CUTOFF * 3 // 10
     texts = ["\u0661" * (cut + 1), "\u00b2" + "1" * cut, " " + "1" * cut, "+" + "1" * cut, "1_" * cut]
-    with patch.object(core, "_DEC_CUTOFF", cut):
+    with digit_cutoff(cut):
         for text in texts:
             try:
                 want = int(text)
@@ -804,8 +840,8 @@ def test_long_non_plain_decimal_text_goes_to_int(cutoff, unlimited_int_text):
 
 @pytest.mark.parametrize("cutoff", [3, None])
 def test_decimal_low_halves_keep_their_zeros(cutoff, unlimited_int_text):
-    cut = cutoff or core._DEC_CUTOFF
-    with patch.object(core, "_DEC_CUTOFF", cut):
+    cut = cutoff or core._DIV_CUTOFF * 3 // 10
+    with digit_cutoff(cut):
         for k in (cut, cut + 1, 2 * cut, 4 * cut + 3, 9 * cut):
             for n in (10**k, 10**k - 1, 10**k + 1, 7 * 10**k + 3, (10**k + 1) * 10**k):
                 assert core._format_decimal(n) == str(n)
@@ -871,6 +907,24 @@ def test_decode_requires_complete_permutation():
     with pytest.raises(NotAPermutation):
         decode((-1, 0))
 
+
+BIG = 10**5000
+BIG_TEXT = "1" + "0" * 5000
+# ids name the rows, as their messages are over 5,000 characters long
+BIG_INPUTS = [
+    pytest.param(*row, id=f"{row[0].__name__}-{row[2].__name__}-past-the-text-limit")
+    for row in [
+        (inversion_set, ((BIG, BIG),), DuplicateEntry, f"repeated entry in ({BIG_TEXT}, {BIG_TEXT})"),
+        (decode, ((BIG, 0),), NotAPermutation, f"({BIG_TEXT}, 0) is not a permutation of 0..1"),
+        (integer_from_digits, ((0, BIG),), InvalidDigit, f"digit {BIG_TEXT} at index 1 outside 0..1"),
+        (encode, (BIG, 3), PrefixTooShort, f"n = {BIG_TEXT} needs at least 1776 digits, got length 3"),
+        (residue, (5, -BIG), ModulusZero, f"modulus must be >= 1, got -{BIG_TEXT}"),
+        (generate_rule, (-BIG,), ModulusTooSmall, f"modulus must be >= 2, got -{BIG_TEXT}"),
+        (prefix_inversions, (5, -BIG), PrefixTooShort, f"prefix length must be >= 1, got -{BIG_TEXT}"),
+        (residue, (-BIG, 3), ValueError, f"expected a non-negative integer, got -{BIG_TEXT}"),
+        (encode, (-BIG,), ValueError, f"expected a non-negative integer, got -{BIG_TEXT}"),
+    ]
+]
 
 # error type and message of each public check, as they were before the
 # checks became single C-level passes
@@ -950,15 +1004,62 @@ BAD_INPUTS = [
     (permutation_from_digits, ((0, 0, 0, -1, 0, 0),), InvalidDigit, "digit -1 at index 3 outside 0..3"),
     (permutation_from_digits, ([0, 1, 0, 0, "0"],), TypeError, "'str' object cannot be interpreted as an integer"),
     (permutation_from_digits, ((0, 0, 3, 0),), InvalidDigit, "digit 3 at index 2 outside 0..2"),
+    # integers of more digits than CPython's str prints by default (4,300):
+    # each message is the text it has when that limit is lifted
+    *BIG_INPUTS,
 ]
 
 
-@pytest.mark.parametrize("call, args, error, message", BAD_INPUTS)
-def test_error_types_and_messages(call, args, error, message):
+def _check_error(call, args, error, message):
     with pytest.raises(error) as info:
         call(*args)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, args, error, message", BAD_INPUTS)
+def test_error_types_and_messages(call, args, error, message):
+    with int_text_limit(4300):  # the default, whatever an earlier test set
+        _check_error(call, args, error, message)
+
+
+@pytest.mark.parametrize("call, args, error, message", BIG_INPUTS)
+def test_big_integer_errors_read_the_same_with_the_limit_lifted(call, args, error, message, unlimited_int_text):
+    _check_error(call, args, error, message)
+
+
+@pytest.mark.parametrize("call", [digits_from_integer, encode])
+def test_a_bad_length_is_refused_before_any_digit_is_found(call, monkeypatch):
+    n = 10**200000
+    counted = []
+    digits_minimal = core._digits_minimal
+    monkeypatch.setattr(core, "_digits_minimal", lambda m: counted.append(m) or digits_minimal(m))
+    for length in (0, -1):
+        start = time.perf_counter()
+        with pytest.raises(PrefixTooShort, match=f"^length must be >= 1, got {length}$"):
+            call(n, length)
+        assert time.perf_counter() - start < 0.02
+    need = minimal_prefix_length(n)
+    for length in (1, 5, need - 1):
+        with pytest.raises(PrefixTooShort, match=f"needs at least {need} digits, got length {length}$"):
+            call(n, length)
+    with pytest.raises(RangeTooLarge):
+        call(n, core.MAX_PREFIX_LENGTH + 1)
+    with pytest.raises(TypeError):
+        call(n, "5")
+    assert counted == []
+    assert len(call(n, need + 1)) == need + 1
+    assert counted == [n]
+
+
+@pytest.mark.parametrize("length", [None, 0, -1, 5, 400, "5", 2.0])
+def test_a_length_past_the_cap_that_n_needs_comes_first(length):
+    # 300! needs 301 digits; under a cap of 200 that is refused before
+    # anything about the length is checked
+    with patch.object(core, "MAX_PREFIX_LENGTH", 200):
+        for call in (digits_from_integer, encode):
+            with pytest.raises(RangeTooLarge, match="^prefix length 301 exceeds MAX_PREFIX_LENGTH=200$"):
+                call(factorial(300), length)
 
 
 def test_prefix_validation():

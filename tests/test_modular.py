@@ -131,6 +131,18 @@ def test_prefix_inversions_cap_comes_first():
     assert time.perf_counter() - start < 1.0
 
 
+def test_prefix_inversions_reduce_n_wherever_it_may_reach_the_factorial():
+    # the guard skips n mod s! only when log2(s!) is over a bit above n's
+    # bit length; on either side of it the set is the one n mod s! gives
+    rng = random.Random(15)
+    ns = [factorial(j) + d for j in range(1, 301) for d in (-1, 0, 1)]
+    ns += [rng.getrandbits(rng.randrange(1, 2000)) for _ in range(300)]
+    for s in range(1, 13):
+        f = factorial(s)
+        for n in ns:
+            assert prefix_inversions(n, s) == inversion_set(encode(n % f, s)), (n, s)
+
+
 def test_divisible_integer_and_prefix_forms():
     assert divisible(18, 6)
     assert not divisible(19, 6)
