@@ -16,6 +16,10 @@ makes such a divisibility test human-checkable.
 1
 >>> print(fc.generate_rule(6))
 inv(0,1) + 2(inv(0,2) + inv(1,2))
+
+``MAX_PREFIX_LENGTH`` here is a copy, for reading: the cap that the checks
+read is ``factoradic.core.MAX_PREFIX_LENGTH``, and only setting that one
+changes it.
 """
 
 from .core import (

@@ -25,7 +25,8 @@ from time import perf_counter
 
 from . import __version__
 from .core import (
-    _check_prefix_length,
+    _at_least,
+    _check_cap,
     _format_decimal,
     _parse_decimal,
     compare_factoradic,
@@ -35,7 +36,7 @@ from .core import (
     format_permutation,
     parse_permutation,
 )
-from .errors import ParseError
+from .errors import ParseError, PrefixTooShort
 from .inversions import inversion_set
 from .modular import residue
 from .reference import (
@@ -44,7 +45,7 @@ from .reference import (
     check_residues,
     mod_direct,
 )
-from .rules import _check_listing, generate_rule, render_rule, rule_table
+from .rules import _check_listing, _rules, generate_rule, render_rule
 
 _ORDERING_WORDS = {-1: "precedes", 0: "equal", 1: "follows"}
 
@@ -150,10 +151,9 @@ def _cmd_rule(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rules = rule_table(args.kmax, primes_only=args.primes)
-    # every listing is checked before anything is written
-    for r in rules:
-        _check_listing(r)
+    # each listing is checked as its rule is built, so a table stops at the
+    # first rule it refuses, and all are checked before anything is written
+    rules = list(map(_check_listing, _rules(args.kmax, args.primes)))
     if args.format == "json":
         # the text of _emit_json(list), one rule at a time: memory follows
         # the largest rule, not the table
@@ -199,7 +199,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    s = _check_prefix_length(args.size)
+    s = _at_least(args.size, 1, PrefixTooShort, "prefix length")
+    _check_cap(s)
     n = random.Random(0).randrange(factorial(s))
     t0 = perf_counter()
     perm = encode(n)

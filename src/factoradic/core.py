@@ -39,7 +39,10 @@ from .errors import (
 
 #: Hard cap on prefix lengths.  The integers themselves are unbounded, but a
 #: permutation occupies O(s) memory, so absurd length requests are refused.
-#: Module-level and adjustable by callers who know what they are doing.
+#: Every check reads it here, at call time, so a caller changes it by setting
+#: ``factoradic.core.MAX_PREFIX_LENGTH``.  ``factoradic.MAX_PREFIX_LENGTH`` is
+#: a copy made at import: after ``factoradic.MAX_PREFIX_LENGTH = 3``,
+#: ``encode(10**10)`` still returns 14 entries.
 MAX_PREFIX_LENGTH = 10**6
 
 # The four crossovers below are timeit minima on CPython 3.11.7 (2 vCPU x86-64).
@@ -82,9 +85,15 @@ _LEAF = 64
 # ``divmod``; larger ones recurse.  2n-bit by n-bit: builtin 7.8 us and one
 # level of recursion 8.5 us at n = 2,000; 11.6 vs 11.5 at 2,500; 16.5 vs 15.2
 # at 3,000.  (CPython 3.13: the tie is at 3,000.)  Decimal text splits at
-# the same size: a value of at most this many bits, or text of at most 3/10
-# as many digits (a digit is under 10/3 bits), goes to the builtin int/str.
-# CHANGES.md has the sweep of this base case on four interpreters.
+# the same number: a value of at most this many bits goes to the builtin
+# str, and text of at most this many digits to the builtin int.  Text needs
+# no constant of its own: the builtin int parses up to about 4,000 digits as
+# fast as a split does, so this many digits is in its flat range (us per
+# parse, CPython 3.11.7, text split above 750 digits against above 2,500:
+# 15.7 vs 7.6 at 10^3 digits, 43.8 vs 25.9 at 2*10^3, 179 vs 166 at
+# 5*10^3).  Printing ends only if a one-digit value, up to 4 bits, is a base
+# case, so this must be at least 4.
+# CHANGES.md has the sweeps of both base cases on four interpreters.
 _DIV_CUTOFF = 2500
 
 
@@ -111,6 +120,14 @@ def _text(x) -> str:
     return "-" + _format_decimal(-x) if x < 0 else _format_decimal(x)
 
 
+def _at_least(x, lo: int, error: type, name: str) -> int:
+    """x as an int, refused below lo with ``error("{name} must be >= {lo}, got x")``."""
+    x = operator.index(x)
+    if x < lo:
+        raise error(f"{name} must be >= {lo}, got {_text(x)}")
+    return x
+
+
 def _check_count(n) -> int:
     n = operator.index(n)
     if n < 0:
@@ -123,14 +140,6 @@ def _check_cap(s: int) -> None:
         raise RangeTooLarge(
             f"prefix length {_text(s)} exceeds MAX_PREFIX_LENGTH={MAX_PREFIX_LENGTH}"
         )
-
-
-def _check_prefix_length(s) -> int:
-    s = operator.index(s)
-    if s < 1:
-        raise PrefixTooShort(f"prefix length must be >= 1, got {_text(s)}")
-    _check_cap(s)
-    return s
 
 
 def _validate_digits(digits: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -354,6 +363,11 @@ def _digits_minimal(n: int) -> list[int]:
         return out
     s = _length(n)
     _check_cap(s)
+    return _digits(n, s)
+
+
+def _digits(n: int, s: int) -> list[int]:
+    """The s digits of n < s!, by the product tree."""
     out = [0] * s
     _extract(n, 0, _root(s), out)
     return out
@@ -372,7 +386,8 @@ def digits_from_integer(n: int, length: int | None = None) -> tuple[int, ...]:
 
 def _writing(n, length) -> tuple[list[int], int]:
     """n's minimal digits d, and its writing's length: len(d), or the checked
-    ``length``, which is checked before any digit is found."""
+    ``length``, which is checked before any digit is found.  n's length is
+    found once: given a length, :func:`_digits` finds the digits at it."""
     n = _check_count(n)
     if length is None:
         d = _digits_minimal(n)
@@ -380,13 +395,11 @@ def _writing(n, length) -> tuple[list[int], int]:
         return d, len(d)
     need = _length(n)
     _check_cap(need)
-    s = operator.index(length)
-    if s < 1:
-        raise PrefixTooShort(f"length must be >= 1, got {_text(s)}")
+    s = _at_least(length, 1, PrefixTooShort, "length")
     _check_cap(s)
     if s < need:
         raise PrefixTooShort(f"n = {_text(n)} needs at least {need} digits, got length {s}")
-    return _digits_minimal(n), s
+    return _digits(n, need), s
 
 
 def _integer(d: Sequence[int]) -> int:
@@ -581,20 +594,20 @@ def format_permutation(entries: Sequence[int]) -> str:
 
 def _parse_decimal(text: str) -> int:
     """``int(text)``, with a plain ASCII digit string of more than
-    ``_DIV_CUTOFF * 3 // 10`` digits split at powers of ten: the halves are
+    ``_DIV_CUTOFF`` digits split at powers of ten: the halves are
     parsed apart and joined by one multiplication, which is subquadratic
     where the builtin is not (CPython up to 3.11).
 
     Every other text, signs, blanks, underscores and non-ASCII digits
     included, goes to ``int`` unchanged, errors and all.
     """
-    if len(text) <= _DIV_CUTOFF * 3 // 10 or not (text.isascii() and text.isdigit()):
+    if len(text) <= _DIV_CUTOFF or not (text.isascii() and text.isdigit()):
         return int(text)
     return _parse_digits(text, 0, len(text), {})
 
 
 def _parse_digits(text: str, lo: int, hi: int, pow10: dict) -> int:
-    if hi - lo <= _DIV_CUTOFF * 3 // 10:
+    if hi - lo <= _DIV_CUTOFF:
         return int(text[lo:hi])
     k = (hi - lo) // 2  # digits in the low half
     high = _parse_digits(text, lo, hi - k, pow10)
@@ -648,7 +661,10 @@ def parse_permutation(text: str) -> tuple[int, ...]:
         try:
             v = int(tok, 10)
         except ValueError:
-            raise ParseError(f"invalid entry {tok!r} in {text!r}") from None
+            # plain digits fail here only past CPython's int text limit
+            if not (tok.isascii() and tok.isdigit()):
+                raise ParseError(f"invalid entry {tok!r} in {text!r}") from None
+            v = _parse_decimal(tok)
         if v < 0:
             raise ParseError(f"negative entry {v} in {text!r}")
         entries.append(v)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .core import _counts, _ranks, _validate_prefix
+from .core import _counts, _ranks, _text, _validate_prefix
 
 
 class InversionSet:
@@ -45,7 +45,7 @@ class InversionSet:
     def inv(self, i: int, j: int) -> int:
         """inv(i, j) for 0 <= i < j < size: 1 if entries i and j are inverted."""
         if not 0 <= i < j < len(self._ranks):
-            raise IndexError(f"pair ({i}, {j}) outside 0 <= i < j < {len(self._ranks)}")
+            raise IndexError(f"pair {_text((i, j))} outside 0 <= i < j < {len(self._ranks)}")
         return 1 if self._ranks[i] > self._ranks[j] else 0
 
     def __contains__(self, pair) -> bool:

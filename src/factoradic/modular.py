@@ -31,17 +31,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from math import factorial
 
-from .core import _check_count, _check_prefix_length, _counts, _digits_minimal, _length
-from .core import _log2_factorial, _permutation, _ranks, _text, _validate_prefix
+from .core import _at_least, _check_cap, _check_count, _counts, _digits_minimal, _length
+from .core import _log2_factorial, _permutation, _ranks, _validate_prefix
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet
-
-
-def _check_modulus(k) -> int:
-    k = operator.index(k)
-    if k < 1:
-        raise ModulusZero(f"modulus must be >= 1, got {_text(k)}")
-    return k
 
 
 def _factorials_mod(k: int) -> Iterator[int]:
@@ -78,7 +71,7 @@ def _prefix_sum(prefix: Iterable[int], need: int, weights: Iterable[int], k: int
 
 def kempner(k: int) -> int:
     """Smallest j with k | j! (S(1) = 0, S(6) = 3, S(p) = p for prime p)."""
-    return sum(1 for _ in _factorials_mod(_check_modulus(k)))
+    return sum(1 for _ in _factorials_mod(_at_least(k, 1, ModulusZero, "modulus")))
 
 
 def residue_from_prefix(prefix: Sequence[int], k: int) -> int:
@@ -87,7 +80,7 @@ def residue_from_prefix(prefix: Sequence[int], k: int) -> int:
     The first k entries are required and validated, though only the first
     S(k) of them are read; extra entries are ignored.
     """
-    k = _check_modulus(k)
+    k = _at_least(k, 1, ModulusZero, "modulus")
     return _prefix_sum(prefix, k, _factorials_mod(k), k)
 
 
@@ -101,7 +94,7 @@ def residue(n: int, k: int) -> int:
     with plain ``n % k``.
     """
     n = _check_count(n)
-    k = _check_modulus(k)
+    k = _at_least(k, 1, ModulusZero, "modulus")
     s = _length(n)
     weights = list(islice(_factorials_mod(k), s))
     if len(weights) < s:  # S(k) comes before n's last digit
@@ -116,7 +109,8 @@ def prefix_inversions(n: int, s: int) -> InversionSet:
     when it may reach s!; s! is not computed for a smaller n.
     """
     n = _check_count(n)
-    s = _check_prefix_length(s)
+    s = _at_least(s, 1, PrefixTooShort, "prefix length")
+    _check_cap(s)
     # n may reach s!: one bit of margin over the rounding of lgamma
     if _log2_factorial(s) <= n.bit_length() + 1:
         n %= factorial(s)

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from math import factorial
 
-from .core import decode, encode
+from .core import _at_least, decode, encode
 from .errors import ModulusZero, PrefixTooShort, RangeTooLarge
 from .inversions import inversion_set
 from .modular import residue
@@ -55,7 +55,7 @@ def inversions_bruteforce(prefix: Sequence[int]) -> frozenset[tuple[int, int]]:
 def mod_direct(n: int, k: int) -> int:
     """n mod k the ordinary way."""
     if k < 1:
-        raise ModulusZero(f"modulus must be >= 1, got {k}")
+        _at_least(k, 1, ModulusZero, "modulus")  # raises; TypeError for a non-integer k
     return n % k
 
 

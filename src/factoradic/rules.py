@@ -21,8 +21,7 @@ JSON is the text ``json.dumps`` gives for ``to_json_obj()``, built without it.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import repeat
 from math import isqrt
 
@@ -94,22 +93,21 @@ class DivisibilityRule:
         return render_rule(self)
 
 
-def _check_listing(rule: DivisibilityRule) -> None:
-    """Refuse to list more pairs than MAX_PREFIX_LENGTH, before allocating any."""
+def _check_listing(rule: DivisibilityRule) -> DivisibilityRule:
+    """The rule, refused if it lists more pairs than MAX_PREFIX_LENGTH, before
+    allocating any."""
     length = rule.effective_length
     pairs = length * (length - 1) // 2
     if pairs > core.MAX_PREFIX_LENGTH:
         raise RangeTooLarge(f"rule for {rule.modulus} lists {pairs} pairs > MAX_PREFIX_LENGTH")
+    return rule
 
 
 def _check_at_least_two(k, name: str) -> int:
     try:
-        k = operator.index(k)
+        return core._at_least(k, 2, ModulusTooSmall, name)
     except TypeError:
         raise ModulusTooSmall(f"{name} must be an integer >= 2, got {k!r}") from None
-    if k < 2:
-        raise ModulusTooSmall(f"{name} must be >= 2, got {core._text(k)}")
-    return k
 
 
 def generate_rule(k: int) -> DivisibilityRule:
@@ -207,11 +205,13 @@ def _is_prime(k: int) -> bool:
     return True
 
 
+def _rules(k_max, primes_only: bool) -> Iterator[DivisibilityRule]:
+    """The rules of :func:`rule_table`, each built when it is reached; k_max
+    is checked at once."""
+    k_max = _check_at_least_two(k_max, "k_max")
+    return (generate_rule(k) for k in range(2, k_max + 1) if not primes_only or _is_prime(k))
+
+
 def rule_table(k_max: int, primes_only: bool = False) -> list[DivisibilityRule]:
     """Rules for k = 2..k_max, optionally restricted to prime moduli."""
-    k_max = _check_at_least_two(k_max, "k_max")
-    return [
-        generate_rule(k)
-        for k in range(2, k_max + 1)
-        if not primes_only or _is_prime(k)
-    ]
+    return list(_rules(k_max, primes_only))

@@ -13,7 +13,7 @@ import pytest
 
 import factoradic.cli as cli
 import factoradic.reference as reference
-from factoradic import digits_from_integer, encode, format_permutation, render_rule
+from factoradic import digits_from_integer, encode, format_permutation, render_rule, rule_table
 from factoradic.cli import main
 from factoradic.rules import DivisibilityRule
 
@@ -204,7 +204,7 @@ def test_table_json_matches_one_dumps(capsys, primes):
     flag = ["--primes"] if primes else []
     for kmax in range(2, 61):
         code, out, _ = run_cli(capsys, "table", str(kmax), "--format", "json", *flag)
-        rules = cli.rule_table(kmax, primes_only=primes)
+        rules = rule_table(kmax, primes_only=primes)
         assert (code, out) == (0, json.dumps([r.to_json_obj() for r in rules]) + "\n")
 
 
@@ -223,8 +223,21 @@ def test_table_refuses_before_writing_in_every_format(capsys, fmt):
     assert err == "error: rule for 1423 lists 1011753 pairs > MAX_PREFIX_LENGTH\n"
 
 
+@pytest.mark.parametrize("primes", [(), ("--primes",)], ids=["all", "primes"])
+@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+def test_table_stops_at_the_first_refused_listing(capsys, fmt, primes):
+    # rules are checked as they are built: 1423 is the first refused modulus
+    # for every KMAX from 1423 up, so no rule past it is built (building them
+    # all took 9 s for KMAX = 20,000, and grows with KMAX squared)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "20000", "--format", fmt, *primes)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: rule for 1423 lists 1011753 pairs > MAX_PREFIX_LENGTH\n"
+
+
 def test_rule_json_needs_no_json_dumps_or_to_json_obj(capsys, monkeypatch):
-    rules = cli.rule_table(30)
+    rules = rule_table(30)
     want = [json.dumps(r.to_json_obj()) for r in rules]
     def refuse(*args, **kwargs):
         raise AssertionError("rule JSON went through json.dumps or to_json_obj")

@@ -36,6 +36,7 @@ from factoradic import (
     generate_rule,
     integer_from_digits,
     inversion_set,
+    kempner,
     minimal_form,
     minimal_prefix_length,
     parse_permutation,
@@ -43,11 +44,12 @@ from factoradic import (
     prefix_inversions,
     residue,
     residue_from_prefix,
+    rule_table,
 )
 import factoradic.core as core
 import factoradic.inversions as inversions
 import factoradic.modular as modular
-from factoradic.reference import inversions_bruteforce, nth_permutation_bruteforce
+from factoradic.reference import inversions_bruteforce, mod_direct, nth_permutation_bruteforce
 
 from golden import GOLDEN_24
 
@@ -748,13 +750,15 @@ def test_divmod_straddles_the_real_cutoff():
 
 # ---------------------------------------------------------------------------
 # decimal text split at powers of ten, with the builtin int and str as the
-# reference.  Text of up to _DIV_CUTOFF * 3 // 10 digits, and values of up to
+# reference.  Text of up to _DIV_CUTOFF digits, and values of up to
 # _DIV_CUTOFF bits, go to the builtins; a low _DIV_CUTOFF sends short text
 # through every level of the split.
 
 def digit_cutoff(digits):
-    """Patch _DIV_CUTOFF so that text of up to ``digits`` digits is the base case."""
-    return patch.object(core, "_DIV_CUTOFF", -(-10 * digits // 3))
+    """Patch _DIV_CUTOFF so that text of up to ``digits`` digits is the base
+    case; at least 4, which printing needs to end (a one-digit value may have
+    4 bits)."""
+    return patch.object(core, "_DIV_CUTOFF", max(digits, 4))
 
 
 @settings(max_examples=300)
@@ -795,7 +799,7 @@ def unlimited_int_text():
 
 def test_decimal_text_around_the_base_case_and_its_doublings(unlimited_int_text):
     rng = random.Random(15)
-    digits, bits = core._DIV_CUTOFF * 3 // 10, core._DIV_CUTOFF
+    digits = bits = core._DIV_CUTOFF
     for j in range(5):
         for d in (-1, 0, 1):
             w = (digits << j) + d
@@ -812,7 +816,7 @@ def test_decimal_text_around_the_base_case_and_its_doublings(unlimited_int_text)
 
 def test_decimal_straddles_the_real_cutoff(unlimited_int_text):
     rng = random.Random(6)
-    cut = core._DIV_CUTOFF * 3 // 10
+    cut = core._DIV_CUTOFF
     for length in (cut - 1, cut, cut + 1, 2 * cut, 2 * cut + 1, 5 * cut + 7):
         text = rng.choice("123456789") + "".join(rng.choices("0123456789", k=length - 1))
         n = int(text)
@@ -825,9 +829,9 @@ def test_decimal_straddles_the_real_cutoff(unlimited_int_text):
 def test_long_non_plain_decimal_text_goes_to_int(cutoff, unlimited_int_text):
     # int() quotes at most 200 characters of bad text, so a low cutoff is
     # what lets a split show in the error message
-    cut = cutoff or core._DIV_CUTOFF * 3 // 10
-    texts = ["\u0661" * (cut + 1), "\u00b2" + "1" * cut, " " + "1" * cut, "+" + "1" * cut, "1_" * cut]
-    with digit_cutoff(cut):
+    with digit_cutoff(cutoff or core._DIV_CUTOFF):
+        cut = core._DIV_CUTOFF  # the text base case
+        texts = ["\u0661" * (cut + 1), "\u00b2" + "1" * cut, " " + "1" * cut, "+" + "1" * cut, "1_" * cut]
         for text in texts:
             try:
                 want = int(text)
@@ -840,8 +844,8 @@ def test_long_non_plain_decimal_text_goes_to_int(cutoff, unlimited_int_text):
 
 @pytest.mark.parametrize("cutoff", [3, None])
 def test_decimal_low_halves_keep_their_zeros(cutoff, unlimited_int_text):
-    cut = cutoff or core._DIV_CUTOFF * 3 // 10
-    with digit_cutoff(cut):
+    with digit_cutoff(cutoff or core._DIV_CUTOFF):
+        cut = core._DIV_CUTOFF  # the text base case
         for k in (cut, cut + 1, 2 * cut, 4 * cut + 3, 9 * cut):
             for n in (10**k, 10**k - 1, 10**k + 1, 7 * 10**k + 3, (10**k + 1) * 10**k):
                 assert core._format_decimal(n) == str(n)
@@ -923,6 +927,18 @@ BIG_INPUTS = [
         (prefix_inversions, (5, -BIG), PrefixTooShort, f"prefix length must be >= 1, got -{BIG_TEXT}"),
         (residue, (-BIG, 3), ValueError, f"expected a non-negative integer, got -{BIG_TEXT}"),
         (encode, (-BIG,), ValueError, f"expected a non-negative integer, got -{BIG_TEXT}"),
+    ]
+]
+# the other integer arguments bounded below, each by the same check
+BIG_BOUND_INPUTS = [
+    pytest.param(*row, id=f"{row[0].__name__}-{name}-past-the-text-limit")
+    for name, row in [
+        ("modulus", (mod_direct, (5, -BIG), ModulusZero, f"modulus must be >= 1, got -{BIG_TEXT}")),
+        ("pair", (inversion_set((1, 0)).inv, (0, BIG), IndexError, f"pair (0, {BIG_TEXT}) outside 0 <= i < j < 2")),
+        ("modulus", (kempner, (-BIG,), ModulusZero, f"modulus must be >= 1, got -{BIG_TEXT}")),
+        ("modulus", (residue_from_prefix, ((0,), -BIG), ModulusZero, f"modulus must be >= 1, got -{BIG_TEXT}")),
+        ("k_max", (rule_table, (-BIG,), ModulusTooSmall, f"k_max must be >= 2, got -{BIG_TEXT}")),
+        ("length", (encode, (5, -BIG), PrefixTooShort, f"length must be >= 1, got -{BIG_TEXT}")),
     ]
 ]
 
@@ -1007,6 +1023,7 @@ BAD_INPUTS = [
     # integers of more digits than CPython's str prints by default (4,300):
     # each message is the text it has when that limit is lifted
     *BIG_INPUTS,
+    *BIG_BOUND_INPUTS,
 ]
 
 
@@ -1023,17 +1040,31 @@ def test_error_types_and_messages(call, args, error, message):
         _check_error(call, args, error, message)
 
 
-@pytest.mark.parametrize("call, args, error, message", BIG_INPUTS)
+@pytest.mark.parametrize("call, args, error, message", BIG_INPUTS + BIG_BOUND_INPUTS)
 def test_big_integer_errors_read_the_same_with_the_limit_lifted(call, args, error, message, unlimited_int_text):
     _check_error(call, args, error, message)
+
+
+@pytest.mark.parametrize("call", [digits_from_integer, encode])
+def test_a_given_length_finds_the_length_of_n_once(call, monkeypatch):
+    # 5000! is too close to a factorial to tell in floating point, so its
+    # length takes one exact factorial; the digits take none
+    lengths, factorials = [], []
+    length, exact = core._length, core.factorial
+    monkeypatch.setattr(core, "_length", lambda m: lengths.append(m) or length(m))
+    monkeypatch.setattr(core, "factorial", lambda c: factorials.append(c) or exact(c))
+    n = exact(5000)
+    got = call(n, 5001)
+    assert (len(lengths), len(factorials)) == (1, 1)
+    assert got == (digits_from_integer(n) if call is digits_from_integer else encode(n))
 
 
 @pytest.mark.parametrize("call", [digits_from_integer, encode])
 def test_a_bad_length_is_refused_before_any_digit_is_found(call, monkeypatch):
     n = 10**200000
     counted = []
-    digits_minimal = core._digits_minimal
-    monkeypatch.setattr(core, "_digits_minimal", lambda m: counted.append(m) or digits_minimal(m))
+    digits = core._digits  # the tree walk, which finds the digits of such an n
+    monkeypatch.setattr(core, "_digits", lambda m, s: counted.append(m) or digits(m, s))
     for length in (0, -1):
         start = time.perf_counter()
         with pytest.raises(PrefixTooShort, match=f"^length must be >= 1, got {length}$"):
@@ -1093,6 +1124,15 @@ def test_parse_permutation_accepts_common_writings(text):
 def test_parse_permutation_rejects_garbage(text):
     with pytest.raises(ParseError):
         parse_permutation(text)
+
+
+def test_parse_permutation_reads_entries_past_the_int_text_limit():
+    with int_text_limit(4300):  # the default, whatever an earlier test set
+        assert parse_permutation("(1, " + "1" * 5000 + ")") == (1, (10**5000 - 1) // 9)
+        assert parse_permutation("2 " + "9" * 4301) == (2, 10**4301 - 1)
+        for bad in ("-" + "1" * 5000, "1" * 5000 + "x", "\u0661" * 5000):
+            with pytest.raises(ParseError, match="^invalid entry "):
+                parse_permutation("(1, " + bad + ")")
 
 
 @given(st.integers(1, 12).flatmap(lambda s: st.permutations(range(s))))

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from factoradic import PrefixTooShort, RangeTooLarge, encode
+from factoradic import PrefixTooShort, RangeTooLarge, encode, residue
 from factoradic.reference import (
     check_factoradic_order,
     check_inversions,
@@ -60,6 +60,13 @@ def test_mod_direct():
     assert mod_direct(16, 3) == 1
     with pytest.raises(ValueError):
         mod_direct(5, 0)
+
+
+def test_mod_direct_refuses_a_non_integer_modulus_below_1_as_residue_does():
+    for call in (mod_direct, residue):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            call(5, 0.5)
+    assert mod_direct(5, 2.5) == 0.0  # the % operator's own answer
 
 
 def test_order_suite_passes_small():
