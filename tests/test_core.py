@@ -1047,8 +1047,8 @@ def test_big_integer_errors_read_the_same_with_the_limit_lifted(call, args, erro
 
 @pytest.mark.parametrize("call", [digits_from_integer, encode])
 def test_a_given_length_finds_the_length_of_n_once(call, monkeypatch):
-    # 5000! is too close to a factorial to tell in floating point, so its
-    # length takes one exact factorial; the digits take none
+    # n = 5000! is too close to 5000! to tell in floating point, so finding
+    # its length takes one exact factorial; finding its digits takes none
     lengths, factorials = [], []
     length, exact = core._length, core.factorial
     monkeypatch.setattr(core, "_length", lambda m: lengths.append(m) or length(m))
