@@ -59,6 +59,12 @@ MAX_PREFIX_LENGTH = 10**6
 # keeps s = 10^4 on the list and is within 10% of 8,192 from 20,000 up.
 # (CPython 3.10.13 and 3.13.0: 10,240 is within 10% of the best size tried
 # from 25,000 up; 3.10 loses 47% at 10,241 and 6% at 14,000.)
+# Above the same size the codec keeps its per-entry scratch out of int
+# objects: digits and counts go into arrays of machine words (:func:`_words`),
+# the count pool holds the permutation's own ints, and the completeness check
+# marks bytes.  At s = 10^5 that cut the traced peaks of encode (around the
+# 3.6 MB permutation it returns) from 8.7 to 5.6 MB, and of decode (beyond
+# its input) from 5.2 to 2.5 MB.  At every size it cost 17% at s = 70.
 _BIG_PERM = 10_240
 # Integers up to this many bits take the simple divmod loop; above, the
 # product tree.  us per call, best of 7 over 20 n, the tree's weights formed
@@ -101,22 +107,27 @@ _DIV_CUTOFF = 2500
 # validation helpers
 #
 # Every public function checks its input once, here, and then hands it to
-# unchecked kernels.  The checks are C-level passes (map, min, set, sorted); an
-# error message is worked out only once a check has failed, and its integers
-# are printed by :func:`_text`.
+# unchecked kernels.  The checks are C-level passes (map, min, set, sorted),
+# and a loop of byte marks for a long permutation; an error message is worked
+# out only once a check has failed, and its integers are printed by
+# :func:`_text`.
 
 def _text(x) -> str:
-    """``str(x)`` for an int or a tuple of ints, at any size.
+    """``str(x)`` for an int or a tuple, at any size.
 
     CPython's ``str`` refuses an int of more than 4,300 digits unless that
     limit is lifted.  So an int is printed by :func:`_format_decimal`, whose
-    base case is ``str``, and a tuple by ``str`` unless it holds such an int.
+    base case is ``str``, and a tuple by ``str`` unless it holds such an int;
+    then its entries one by one, any that is not an int by ``repr``, as
+    ``str`` prints a tuple's entries.
     """
     if isinstance(x, tuple):
         try:
             return str(x)
         except ValueError:
             return f"({', '.join(map(_text, x))}{',' * (len(x) == 1)})"
+    if not isinstance(x, int):
+        return repr(x)
     return "-" + _format_decimal(-x) if x < 0 else _format_decimal(x)
 
 
@@ -192,9 +203,20 @@ def _validate_complete(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
     if not p:
         raise NotAPermutation("empty sequence; the identity is written as (0,)")
     m = _moved(p)
+    head = p[:m]
     # one sorted list, not sets: at s = 10^5, set(p) == set(range(s)) raised
-    # a round trip's peak RSS by 9 MB
-    if sorted(p[:m]) != list(range(m)):
+    # a round trip's peak RSS by 9 MB.  A longer head is checked to lie in
+    # 0..m-1 and then marked, a byte per value, as a sort makes an int each.
+    if m <= _BIG_PERM:
+        ok = sorted(head) == list(range(m))
+    else:
+        ok = min(head) >= 0 and max(head) < m
+        if ok:
+            seen = bytearray(m)
+            for v in head:
+                seen[v] = 1
+            ok = 0 not in seen
+    if not ok:
         raise NotAPermutation(f"{_text(p)} is not a permutation of 0..{len(p) - 1}")
     return p, m
 
@@ -350,7 +372,15 @@ def _combine(d: Sequence[int], lo: int, hi: int) -> int:
     return _combine(d, lo, mid) + _weight(lo, mid) * _combine(d, mid, hi)
 
 
-def _digits_minimal(n: int) -> list[int]:
+def _words(s: int) -> Sequence[int]:
+    """s zeros as an array of machine words, 8 bytes an entry, where a list
+    takes 8 for each pointer and 28 for each int above 256 it holds."""
+    from array import array  # an extension load, paid only on this path
+
+    return array("q", (0,)) * s
+
+
+def _digits_minimal(n: int) -> Sequence[int]:
     """Digits of n, shortest form (trailing zeros stripped, length >= 1)."""
     if n.bit_length() <= _BIG_BITS:
         out = [0]
@@ -366,9 +396,10 @@ def _digits_minimal(n: int) -> list[int]:
     return _digits(n, s)
 
 
-def _digits(n: int, s: int) -> list[int]:
-    """The s digits of n < s!, by the product tree."""
-    out = [0] * s
+def _digits(n: int, s: int) -> Sequence[int]:
+    """The s digits of n < s!, by the product tree; more than _BIG_PERM of
+    them as machine words."""
+    out = [0] * s if s <= _BIG_PERM else _words(s)
     _extract(n, 0, _root(s), out)
     return out
 
@@ -384,7 +415,7 @@ def digits_from_integer(n: int, length: int | None = None) -> tuple[int, ...]:
     return tuple(d) + (0,) * (s - len(d))
 
 
-def _writing(n, length) -> tuple[list[int], int]:
+def _writing(n, length) -> tuple[Sequence[int], int]:
     """n's minimal digits d, and its writing's length: len(d), or the checked
     ``length``, which is checked before any digit is found.  n's length is
     found once: given a length, :func:`_digits` finds the digits at it."""
@@ -459,9 +490,10 @@ def _moved(p: Sequence[int]) -> int:
     return m
 
 
-def _blocks(s: int) -> list[list[int]]:
-    """The pool 0..s-1 as lists of _BIG_PERM consecutive values."""
-    return [list(range(lo, min(lo + _BIG_PERM, s))) for lo in range(0, s, _BIG_PERM)]
+def _blocks(pool: Sequence[int]) -> list[list[int]]:
+    """The pool, the values 0..s-1 in increasing order, as lists of
+    _BIG_PERM consecutive values."""
+    return [list(pool[lo : lo + _BIG_PERM]) for lo in range(0, len(pool), _BIG_PERM)]
 
 
 def _permutation(d: Sequence[int], s: int) -> tuple[int, ...]:
@@ -472,7 +504,7 @@ def _permutation(d: Sequence[int], s: int) -> tuple[int, ...]:
         out = list(map(pool.pop, map(operator.sub, range(m - 1, -1, -1), reversed(d))))
         out.reverse()
     else:
-        blocks = _blocks(m)
+        blocks = _blocks(range(m))  # their ints become the writing's own
         out = [0] * m
         for j in range(m - 1, -1, -1):
             i = j - d[j]
@@ -485,18 +517,24 @@ def _permutation(d: Sequence[int], s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _counts(p: Sequence[int]) -> list[int]:
-    """counts[j] = #{i < j : p[i] > p[j]} for a permutation p of 0..s-1."""
+def _counts(p: Sequence[int]) -> Sequence[int]:
+    """counts[j] = #{i < j : p[i] > p[j]} for a permutation p of 0..s-1;
+    more than _BIG_PERM moved entries are counted into machine words."""
     m = _moved(p)
-    counts = [0] * len(p)
     if m <= _BIG_PERM:
+        counts = [0] * len(p)
         pool = list(range(m))
         for j in range(m - 1, -1, -1):
             i = bisect_left(pool, p[j])
             counts[j] = j - i
             del pool[i]
     else:
-        blocks = _blocks(m)
+        counts = _words(len(p))
+        pool = [0] * m
+        for v in islice(p, m):  # p's own ints, each at its value, not m new ones
+            pool[v] = v
+        blocks = _blocks(pool)
+        del pool
         for j in range(m - 1, -1, -1):
             v = p[j]
             block = blocks[v // _BIG_PERM]

@@ -459,12 +459,14 @@ def test_json_n_is_the_text_of_json_dumps(capsys, monkeypatch, n):
 
 
 def test_import_loads_no_dataclasses_inspect_json_or_typing():
-    # what the package import adds: plain output needs none of these, and
-    # signal is imported only when an interrupt is handled
+    # what the package import adds: plain output needs none of these, signal
+    # is imported only when an interrupt is handled and array only by a long
+    # writing, and an extension load such as array or decimal adds to start-up
     code = (
         "import sys; before = set(sys.modules); "
         "import factoradic, factoradic.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'json', 'signal', 'typing'} & (set(sys.modules) - before)))"
+        "print(sorted({'array', 'dataclasses', 'decimal', 'inspect', 'json', 'signal', 'typing'}"
+        " & (set(sys.modules) - before)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

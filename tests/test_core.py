@@ -322,6 +322,28 @@ def test_complete_padding_is_checked_without_an_object_per_entry():
     assert peak < 24 * k
 
 
+def test_long_codec_calls_keep_per_entry_scratch_out_of_int_objects():
+    # above _BIG_PERM, digits and counts are machine words, the count pool
+    # holds the permutation's own ints and the check marks bytes; a list of
+    # new ints alone takes 4.5 words an entry (a pointer and a 28-byte int)
+    s = 3 * 10**4
+    assert s > core._BIG_PERM
+    n = random.Random(s).randrange(factorial(s - 1), factorial(s))
+    assert decode(encode(n)) == n  # the tree's weights are kept from here on
+    tracemalloc.start()
+    try:
+        p = encode(n)
+        kept, peak = tracemalloc.get_traced_memory()  # kept: the permutation
+        encode_scratch = peak - kept
+        tracemalloc.reset_peak()
+        assert decode(p) == n
+        decode_scratch = tracemalloc.get_traced_memory()[1] - kept
+    finally:
+        tracemalloc.stop()
+    assert encode_scratch < 4 * 8 * s
+    assert decode_scratch < 4 * 8 * s
+
+
 def test_moved_falls_back_to_the_scan_when_the_bisect_is_misled(monkeypatch):
     scans = []
     def counted(items):
@@ -1043,6 +1065,56 @@ def test_error_types_and_messages(call, args, error, message):
 @pytest.mark.parametrize("call, args, error, message", BIG_INPUTS + BIG_BOUND_INPUTS)
 def test_big_integer_errors_read_the_same_with_the_limit_lifted(call, args, error, message, unlimited_int_text):
     _check_error(call, args, error, message)
+
+
+@pytest.mark.parametrize("digits", [4300, 0], ids=("default_limit", "no_limit"))
+def test_a_tuple_of_a_big_int_and_a_non_int_prints_as_str_does(digits):
+    # kept out of BAD_INPUTS, whose rows the parity table holds and pins;
+    # under the default limit the pair is printed entry by entry, 0.5 by repr
+    with int_text_limit(digits):
+        _check_error(
+            inversion_set((1, 0)).inv, (0.5, BIG), IndexError,
+            f"pair (0.5, {BIG_TEXT}) outside 0 <= i < j < 2",
+        )
+        assert core._text((0.5, BIG, "x", (None, -BIG))) == f"(0.5, {BIG_TEXT}, 'x', (None, -{BIG_TEXT}))"
+
+
+# complete permutations whose check takes the long path (bounds, then a mark
+# per value) once _BIG_PERM is patched to 1: one of each kind of bad head
+BAD_HEADS = {
+    "duplicate": (1, 0, 2, 3, 3, 5),  # in range, so only the marks find it
+    "gap": (1, 3, 0, 4),
+    "negative": (1, -1, 0, 3),
+    "entry_of_the_run": (0, 3, 2, 3, 4),  # m = 2, and the head holds 3
+    "past_the_text_limit": (BIG, 1, 0),
+}
+COMPLETE_CHECKS = {
+    "decode": decode,
+    "minimal_form": minimal_form,
+    "compare_first": lambda p: compare_factoradic(p, (0,)),
+    "compare_second": lambda p: compare_factoradic((1, 0), p),
+}
+
+
+@pytest.mark.parametrize("call", COMPLETE_CHECKS.values(), ids=COMPLETE_CHECKS.keys())
+@pytest.mark.parametrize("p", BAD_HEADS.values(), ids=BAD_HEADS.keys())
+def test_complete_checks_raise_the_same_on_both_sides_of_the_split(p, call):
+    assert core._moved(p) > 1
+    with int_text_limit(0):
+        message = f"{p} is not a permutation of 0..{len(p) - 1}"
+    with int_text_limit(4300):
+        for big_perm in (1, core._BIG_PERM):
+            with patch.object(core, "_BIG_PERM", big_perm):
+                _check_error(call, (p,), NotAPermutation, message)
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message",
+    [row for row in BAD_INPUTS if getattr(row, "values", row)[0] in (decode, minimal_form, compare_factoradic)],
+)
+def test_complete_check_rows_read_the_same_on_the_long_path(call, args, error, message):
+    with int_text_limit(4300), patch.object(core, "_BIG_PERM", 1):
+        _check_error(call, args, error, message)
 
 
 @pytest.mark.parametrize("call", [digits_from_integer, encode])
