@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import MutableSequence, Sequence
 from itertools import islice
 from math import factorial, lgamma, log, log2, log10, prod
 
@@ -60,11 +60,12 @@ MAX_PREFIX_LENGTH = 10**6
 # (CPython 3.10.13 and 3.13.0: 10,240 is within 10% of the best size tried
 # from 25,000 up; 3.10 loses 47% at 10,241 and 6% at 14,000.)
 # Above the same size the codec keeps its per-entry scratch out of int
-# objects: digits and counts go into arrays of machine words (:func:`_words`),
-# the count pool holds the permutation's own ints, and the completeness check
-# marks bytes.  At s = 10^5 that cut the traced peaks of encode (around the
-# 3.6 MB permutation it returns) from 8.7 to 5.6 MB, and of decode (beyond
-# its input) from 5.2 to 2.5 MB.  At every size it cost 17% at s = 70.
+# objects: the digits, the counts and the pool's blocks are arrays of 4-byte
+# machine words (:func:`_words`), the permutation is written over its digits,
+# and the completeness check marks bytes.  At s = 10^5 that cut the traced
+# peaks of encode (around the 3.6 MB permutation it returns) from 8.3 to 4.2
+# MB, and of decode (beyond its input) from 5.0 to 1.6 MB.  At every size it
+# cost 17% at s = 70.
 _BIG_PERM = 10_240
 # Integers up to this many bits take the simple divmod loop; above, the
 # product tree.  us per call, best of 7 over 20 n, the tree's weights formed
@@ -372,12 +373,14 @@ def _combine(d: Sequence[int], lo: int, hi: int) -> int:
     return _combine(d, lo, mid) + _weight(lo, mid) * _combine(d, mid, hi)
 
 
-def _words(s: int) -> Sequence[int]:
-    """s zeros as an array of machine words, 8 bytes an entry, where a list
-    takes 8 for each pointer and 28 for each int above 256 it holds."""
+def _words(values: Sequence[int]) -> MutableSequence[int]:
+    """A list or tuple of ints as an array of C ints, 4 bytes an entry, where
+    a list takes 8 for each pointer and 28 for each int above 256 it holds.
+    The codec stores only digits, counts and entries of a writing, all below
+    its length; one of 2^31 or more would raise OverflowError."""
     from array import array  # an extension load, paid only on this path
 
-    return array("q", (0,)) * s
+    return array("i", values)
 
 
 def _digits_minimal(n: int) -> Sequence[int]:
@@ -398,8 +401,8 @@ def _digits_minimal(n: int) -> Sequence[int]:
 
 def _digits(n: int, s: int) -> Sequence[int]:
     """The s digits of n < s!, by the product tree; more than _BIG_PERM of
-    them as machine words."""
-    out = [0] * s if s <= _BIG_PERM else _words(s)
+    them as words (:func:`_words`)."""
+    out = [0] * s if s <= _BIG_PERM else _words((0,)) * s
     _extract(n, 0, _root(s), out)
     return out
 
@@ -464,7 +467,7 @@ def minimal_prefix_length(n: int) -> int:
 # permutation takes the value at index j - d[j] out of the pool; permutation
 # -> digits finds entry j's index i in the pool and takes it out, and j - i
 # values above it are the earlier larger entries.  Up to _BIG_PERM positions
-# the pool is one list.  Above, it is cut into lists of _BIG_PERM consecutive
+# the pool is one list.  Above, it is cut into arrays of _BIG_PERM consecutive
 # values (the layout of sortedcontainers' SortedList), so each pop or del
 # moves at most _BIG_PERM entries: digits -> permutation walks the block
 # lengths to index j - d[j]; permutation -> digits finds value v in block
@@ -490,36 +493,40 @@ def _moved(p: Sequence[int]) -> int:
     return m
 
 
-def _blocks(pool: Sequence[int]) -> list[list[int]]:
-    """The pool, the values 0..s-1 in increasing order, as lists of
-    _BIG_PERM consecutive values."""
-    return [list(pool[lo : lo + _BIG_PERM]) for lo in range(0, len(pool), _BIG_PERM)]
+def _blocks(m: int) -> list[MutableSequence[int]]:
+    """The pool 0..m-1 as arrays of _BIG_PERM consecutive values."""
+    return [_words(list(range(lo, min(lo + _BIG_PERM, m)))) for lo in range(0, m, _BIG_PERM)]
 
 
-def _permutation(d: Sequence[int], s: int) -> tuple[int, ...]:
-    """The s-entry writing of the valid digits d, padded with zeros."""
+def _permutation(d: MutableSequence[int], s: int) -> tuple[int, ...]:
+    """The s-entry writing of the valid digits d, padded with zeros.
+
+    d is scratch: more than _BIG_PERM digits are overwritten with the
+    writing's entries, so that no list of them is built beside d.
+    """
     m = len(d)
     if m <= _BIG_PERM:
         pool = list(range(m))
         out = list(map(pool.pop, map(operator.sub, range(m - 1, -1, -1), reversed(d))))
         out.reverse()
     else:
-        blocks = _blocks(range(m))  # their ints become the writing's own
-        out = [0] * m
+        blocks = _blocks(m)
         for j in range(m - 1, -1, -1):
             i = j - d[j]
             for block in blocks:
                 if i < len(block):
                     break
                 i -= len(block)
-            out[j] = block.pop(i)
-    out += range(m, s)
+            d[j] = block.pop(i)  # d[j] is read no more
+        del blocks  # an emptied array keeps its buffer
+        out = d
+    out.extend(range(m, s))
     return tuple(out)
 
 
 def _counts(p: Sequence[int]) -> Sequence[int]:
     """counts[j] = #{i < j : p[i] > p[j]} for a permutation p of 0..s-1;
-    more than _BIG_PERM moved entries are counted into machine words."""
+    more than _BIG_PERM moved entries are counted into words (:func:`_words`)."""
     m = _moved(p)
     if m <= _BIG_PERM:
         counts = [0] * len(p)
@@ -529,12 +536,8 @@ def _counts(p: Sequence[int]) -> Sequence[int]:
             counts[j] = j - i
             del pool[i]
     else:
-        counts = _words(len(p))
-        pool = [0] * m
-        for v in islice(p, m):  # p's own ints, each at its value, not m new ones
-            pool[v] = v
-        blocks = _blocks(pool)
-        del pool
+        counts = _words((0,)) * len(p)
+        blocks = _blocks(m)
         for j in range(m - 1, -1, -1):
             v = p[j]
             block = blocks[v // _BIG_PERM]
@@ -565,7 +568,8 @@ def permutation_from_digits(digits: Sequence[int]) -> tuple[int, ...]:
     """
     d, m = _validate_digits(digits)
     _check_cap(len(d))
-    return _permutation(d[:m], len(d))
+    # d is the caller's; the long kernel writes over a copy of it
+    return _permutation(d[:m] if m <= _BIG_PERM else _words(d[:m]), len(d))
 
 
 def digits_from_permutation(entries: Sequence[int]) -> tuple[int, ...]:

@@ -323,9 +323,10 @@ def test_complete_padding_is_checked_without_an_object_per_entry():
 
 
 def test_long_codec_calls_keep_per_entry_scratch_out_of_int_objects():
-    # above _BIG_PERM, digits and counts are machine words, the count pool
-    # holds the permutation's own ints and the check marks bytes; a list of
-    # new ints alone takes 4.5 words an entry (a pointer and a 28-byte int)
+    # above _BIG_PERM, digits, counts and the pools are machine words, the
+    # permutation is written over its digits and the check marks bytes; a
+    # list of new ints alone takes 4.5 words an entry (a pointer and a
+    # 28-byte int)
     s = 3 * 10**4
     assert s > core._BIG_PERM
     n = random.Random(s).randrange(factorial(s - 1), factorial(s))
@@ -342,6 +343,16 @@ def test_long_codec_calls_keep_per_entry_scratch_out_of_int_objects():
         tracemalloc.stop()
     assert encode_scratch < 4 * 8 * s
     assert decode_scratch < 4 * 8 * s
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_the_long_kernel_writes_over_no_digits_of_the_caller(kind):
+    # _permutation writes the writing over its digits above _BIG_PERM, so
+    # permutation_from_digits hands it a copy
+    d = kind(digits_from_integer(10**40, 40))
+    with patch.object(core, "_BIG_PERM", 4):
+        assert permutation_from_digits(d) == encode(10**40, 40)
+    assert d == kind(digits_from_integer(10**40, 40))
 
 
 def test_moved_falls_back_to_the_scan_when_the_bisect_is_misled(monkeypatch):
