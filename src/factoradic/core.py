@@ -59,13 +59,12 @@ MAX_PREFIX_LENGTH = 10**6
 # keeps s = 10^4 on the list and is within 10% of 8,192 from 20,000 up.
 # (CPython 3.10.13 and 3.13.0: 10,240 is within 10% of the best size tried
 # from 25,000 up; 3.10 loses 47% at 10,241 and 6% at 14,000.)
-# Above the same size the codec keeps its per-entry scratch out of int
+# Above the same size the kernels keep their per-entry scratch out of int
 # objects: the digits, the counts and the pool's blocks are arrays of 4-byte
-# machine words (:func:`_words`), the permutation is written over its digits,
-# and the completeness check marks bytes.  At s = 10^5 that cut the traced
-# peaks of encode (around the 3.6 MB permutation it returns) from 8.3 to 4.2
-# MB, and of decode (beyond its input) from 5.0 to 1.6 MB.  At every size it
-# cost 17% at s = 70.
+# machine words (:func:`_words`), and the permutation is written over its
+# digits.  At s = 10^5 encode's traced peak is 4.2 MB with the 3.6 MB
+# permutation it returns, and decode's 1.6 MB beyond its input.  Words at
+# every size made round trips 1.11-1.19x slower from s = 70 to 1,000.
 _BIG_PERM = 10_240
 # Integers up to this many bits take the simple divmod loop; above, the
 # product tree.  us per call, best of 7 over 20 n, the tree's weights formed
@@ -108,8 +107,8 @@ _DIV_CUTOFF = 2500
 # validation helpers
 #
 # Every public function checks its input once, here, and then hands it to
-# unchecked kernels.  The checks are C-level passes (map, min, set, sorted),
-# and a loop of byte marks for a long permutation; an error message is worked
+# unchecked kernels.  The checks are C-level passes (map, min, set), and a
+# loop of byte marks for a complete permutation; an error message is worked
 # out only once a check has failed, and its integers are printed by
 # :func:`_text`.
 
@@ -199,25 +198,23 @@ def _validate_prefix(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
 def _validate_complete(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The entries as ints, and the m of :func:`_moved`: the entries from m on
     are the fixed points m, m+1, ..., so they are a permutation exactly when
-    the m before them are a permutation of 0..m-1.  Only those m are sorted."""
+    the m before them lie in 0..m-1 and mark every byte of a bytearray(m).
+
+    One form at every size: against sorting them and comparing with range(m),
+    the marks cost 1.4-5.2 us more at m = 20 to 70, tie between 300 and 1,000,
+    and are 1.9-2.4x faster from 3,000 up, with a byte of scratch an entry
+    where the sort made an int (in-process A/B, CPython 3.10.13 to 3.13.0).
+    """
     p = _ints(entries)
     if not p:
         raise NotAPermutation("empty sequence; the identity is written as (0,)")
     m = _moved(p)
     head = p[:m]
-    # one sorted list, not sets: at s = 10^5, set(p) == set(range(s)) raised
-    # a round trip's peak RSS by 9 MB.  A longer head is checked to lie in
-    # 0..m-1 and then marked, a byte per value, as a sort makes an int each.
-    if m <= _BIG_PERM:
-        ok = sorted(head) == list(range(m))
-    else:
-        ok = min(head) >= 0 and max(head) < m
-        if ok:
-            seen = bytearray(m)
-            for v in head:
-                seen[v] = 1
-            ok = 0 not in seen
-    if not ok:
+    seen = bytearray(m)
+    if min(head, default=0) >= 0 and max(head, default=0) < m:
+        for v in head:
+            seen[v] = 1
+    if 0 in seen:
         raise NotAPermutation(f"{_text(p)} is not a permutation of 0..{len(p) - 1}")
     return p, m
 
@@ -383,8 +380,11 @@ def _words(values: Sequence[int]) -> MutableSequence[int]:
     return array("i", values)
 
 
-def _digits_minimal(n: int) -> Sequence[int]:
-    """Digits of n, shortest form (trailing zeros stripped, length >= 1)."""
+def _digits(n: int, s: int | None = None) -> Sequence[int]:
+    """Digits of n, shortest form (length >= 1); s, if given, is their
+    number, as :func:`_length` finds it.  Up to _BIG_BITS bits a divmod loop
+    finds them and checks no cap; above, s is checked against the cap and the
+    product tree writes them, more than _BIG_PERM as words (:func:`_words`)."""
     if n.bit_length() <= _BIG_BITS:
         out = [0]
         q = n
@@ -394,14 +394,9 @@ def _digits_minimal(n: int) -> Sequence[int]:
             out.append(r)
             d += 1
         return out
-    s = _length(n)
+    if s is None:
+        s = _length(n)
     _check_cap(s)
-    return _digits(n, s)
-
-
-def _digits(n: int, s: int) -> Sequence[int]:
-    """The s digits of n < s!, by the product tree; more than _BIG_PERM of
-    them as words (:func:`_words`)."""
     out = [0] * s if s <= _BIG_PERM else _words((0,)) * s
     _extract(n, 0, _root(s), out)
     return out
@@ -424,7 +419,7 @@ def _writing(n, length) -> tuple[Sequence[int], int]:
     found once: given a length, :func:`_digits` finds the digits at it."""
     n = _check_count(n)
     if length is None:
-        d = _digits_minimal(n)
+        d = _digits(n)
         _check_cap(len(d))
         return d, len(d)
     need = _length(n)
@@ -631,7 +626,10 @@ def compare_factoradic(p: Sequence[int], q: Sequence[int]) -> int:
 
 def format_permutation(entries: Sequence[int]) -> str:
     """Render a sequence of integers as "(2, 3, 0, 1)"."""
-    return "(" + ", ".join(str(x) for x in entries) + ")"
+    try:
+        return "(" + ", ".join(map(str, entries)) + ")"
+    except ValueError:  # an int past CPython's text limit
+        return "(" + ", ".join(map(_text, entries)) + ")"
 
 
 def _parse_decimal(text: str) -> int:

@@ -31,7 +31,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from math import factorial
 
-from .core import _at_least, _check_cap, _check_count, _counts, _digits_minimal, _length
+from .core import _at_least, _check_cap, _check_count, _counts, _digits, _length
 from .core import _log2_factorial, _permutation, _ranks, _validate_prefix
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet
@@ -97,9 +97,9 @@ def residue(n: int, k: int) -> int:
     k = _at_least(k, 1, ModulusZero, "modulus")
     s = _length(n)
     weights = list(islice(_factorials_mod(k), s))
-    if len(weights) < s:  # S(k) comes before n's last digit
-        n %= factorial(len(weights))
-    return _weighted_sum(_digits_minimal(n), weights, k)
+    if len(weights) < s:  # S(k) comes before n's last digit: n's length changes
+        n, s = n % factorial(len(weights)), None
+    return _weighted_sum(_digits(n, s), weights, k)
 
 
 def prefix_inversions(n: int, s: int) -> InversionSet:
@@ -114,7 +114,7 @@ def prefix_inversions(n: int, s: int) -> InversionSet:
     # n may reach s!: one bit of margin over the rounding of lgamma
     if _log2_factorial(s) <= n.bit_length() + 1:
         n %= factorial(s)
-    return InversionSet._of_permutation(_permutation(_digits_minimal(n), s))
+    return InversionSet._of_permutation(_permutation(_digits(n), s))
 
 
 def divisible(n_or_prefix, k: int) -> bool:

@@ -322,6 +322,24 @@ def test_complete_padding_is_checked_without_an_object_per_entry():
     assert peak < 24 * k
 
 
+def test_the_complete_check_marks_a_byte_an_entry_at_every_size():
+    # below _BIG_PERM too: sorting the entries against range(m) took 46
+    # bytes an entry
+    m = 5000
+    assert m < core._BIG_PERM
+    p = list(range(m))
+    random.Random(m).shuffle(p)
+    p = tuple(p)
+    assert core._validate_complete(p) == (p, m)
+    tracemalloc.start()
+    try:
+        core._validate_complete(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * m + 1024
+
+
 def test_long_codec_calls_keep_per_entry_scratch_out_of_int_objects():
     # above _BIG_PERM, digits, counts and the pools are machine words, the
     # permutation is written over its digits and the check marks bytes; a
@@ -1216,6 +1234,14 @@ def test_parse_permutation_reads_entries_past_the_int_text_limit():
         for bad in ("-" + "1" * 5000, "1" * 5000 + "x", "\u0661" * 5000):
             with pytest.raises(ParseError, match="^invalid entry "):
                 parse_permutation("(1, " + bad + ")")
+
+
+def test_format_permutation_prints_entries_past_the_int_text_limit():
+    p = (1, (10**5000 - 1) // 9, 0)
+    with int_text_limit(4300):  # the default, whatever an earlier test set
+        text = format_permutation(p)
+        assert text == "(1, " + "1" * 5000 + ", 0)"
+        assert parse_permutation(text) == p
 
 
 @given(st.integers(1, 12).flatmap(lambda s: st.permutations(range(s))))

@@ -31,6 +31,39 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level name with one leading underscore
+    that no module of ``sources`` (module name -> source) reads.
+
+    A definition is a function, a class or an assigned name.  A read is a
+    name loaded, an attribute of that name, or a ``from ... import`` of it,
+    in any top-level statement but the definition itself, so a function
+    that only calls itself is not read.
+    """
+    defined, reads = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.name for a in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, stmt.name, len(reads)))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined += [(module, t.id, len(reads)) for t in targets if isinstance(t, ast.Name)]
+            reads.append(names)
+    return sorted(
+        f"{module}.{name}" for module, name, i in defined
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in names for j, names in enumerate(reads) if j != i)
+    )
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -46,3 +79,20 @@ def test_the_check_finds_an_unused_import():
         "print(sys.argv)\n"
     )
     assert unused_imports(source) == ["os", "osp", "tau"]
+
+
+def test_no_private_name_is_left_unread():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {
+        "a": (
+            "_read = 1\n_unread = 2\n_TABLE: dict = {}\n"
+            "def _called(): return _TABLE\ndef _dead(): return _dead()\nclass _Kept: pass\n"
+            "print(_called())\n"
+        ),
+        "b": "from .a import _read\nimport a\nprint(a._Kept)\n__dunder__ = 3\n_only_stored = 6\n",
+    }
+    assert unread_private_names(sources) == ["a._dead", "a._unread", "b._only_stored"]

@@ -253,6 +253,31 @@ def test_residue_takes_the_weights_below_the_cut_and_no_more(monkeypatch):
         assert len(taken) == minimal_prefix_length(n)
 
 
+def test_residue_finds_the_length_of_n_once(monkeypatch):
+    # above _BIG_BITS the product tree finds n's digits at the length that
+    # residue found for its weights
+    lengths = []
+    length = core._length
+    n = random.Random(9).randrange(10**9999, 10**10000)
+    def counted(m):
+        lengths.append(m is n)
+        return length(m)
+    monkeypatch.setattr(core, "_length", counted)
+    monkeypatch.setattr(modular, "_length", counted)
+    assert n.bit_length() > core._BIG_BITS
+    assert residue(n, 65521) == n % 65521
+    assert lengths == [True]  # one call, on n itself
+
+
+def test_residue_checks_the_cap_only_on_the_tree_path(monkeypatch):
+    # the divmod loop checks no cap; the tree checks the length n needs
+    monkeypatch.setattr(core, "MAX_PREFIX_LENGTH", 1)
+    assert residue(1, 7) == 1
+    monkeypatch.setattr(core, "MAX_PREFIX_LENGTH", 200)
+    with pytest.raises(RangeTooLarge, match="^prefix length 202 exceeds MAX_PREFIX_LENGTH=200$"):
+        residue(factorial(201), 211)
+
+
 def test_padded_writing_counts_only_its_moved_columns(monkeypatch):
     n = random.Random(10).randrange(10**399, 10**400)
     w = encode(n, 3000)
