@@ -4,19 +4,17 @@ Interesting inputs are astronomically large: an integer with 10^5
 factorial-base digits has about 456,000 decimal digits.  The conversion
 splits the factorial base with a product tree whose divisions recurse down
 to multiplications, and places and counts entries in a pool of unused
-values: one list up to 10,240 entries, and above that lists of 10,240
-consecutive values, so no step moves more than 10,240 entries; this
-script times the full pipeline in both directions.
+values: one list up to 10,240 entries, and above that arrays of 10,240
+consecutive values (array('i')), so no step moves more than 10,240
+entries.  decode first checks that its input is a permutation: each entry
+marks one byte.  This script times the full pipeline in both directions.
 
 Its one round trip is cold: it runs in a fresh process, so encode forms
 every weight of the product tree, and decode, at the same length, reuses
 them.  A process that round-trips again at this length or any shorter one
-forms no weight.
-
-What to expect at s = 10^5, from the benchmark's traced codec_large run on
-a 2-vCPU x86-64 VM: encode about 0.8 s and decode about 0.7 s on CPython
-3.11.7, 1.0 s and 0.85 s on 3.13.0.  Integer -> digits is the largest part
-of encode (0.63 s on 3.11.7, 0.81 s on 3.13.0).
+forms no weight.  Expect one to two seconds for the round trip on a small
+x86-64 VM.  The big-integer halves cost the most: integer -> digits in
+encode, digits -> integer in decode.
 """
 
 from math import factorial

@@ -201,9 +201,9 @@ def _validate_complete(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
     the m before them lie in 0..m-1 and mark every byte of a bytearray(m).
 
     One form at every size: against sorting them and comparing with range(m),
-    the marks cost 1.4-5.2 us more at m = 20 to 70, tie between 300 and 1,000,
-    and are 1.9-2.4x faster from 3,000 up, with a byte of scratch an entry
-    where the sort made an int (in-process A/B, CPython 3.10.13 to 3.13.0).
+    the marks cost 0.8-4 us more at m = 20 to 70, cross over between 300 and
+    1,000, and are 1.9-2.6x faster from 3,000 up, with a byte of scratch an
+    entry where the sort made an int (in-process A/B, CPython 3.10.13-3.13.0).
     """
     p = _ints(entries)
     if not p:
@@ -211,7 +211,7 @@ def _validate_complete(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
     m = _moved(p)
     head = p[:m]
     seen = bytearray(m)
-    if min(head, default=0) >= 0 and max(head, default=0) < m:
+    if m and min(head) >= 0 and max(head) < m:
         for v in head:
             seen[v] = 1
     if 0 in seen:
