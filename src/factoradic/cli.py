@@ -141,7 +141,7 @@ def _cmd_mod(args) -> int:
     if args.format == "json":
         _emit_json({"n": args.n, "k": args.k, "residue": r})
     else:
-        print(r)
+        print(_format_decimal(r))
     return status
 
 
@@ -310,11 +310,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # lift CPython's 4300-digit str<->int conversion cap; input is unbounded
-    if hasattr(sys, "set_int_max_str_digits"):
+    # lift CPython's 4300-digit str<->int conversion cap while main runs, as
+    # input is unbounded; the caller's limit is restored on every exit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -333,6 +335,9 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGINT)
         return 128 + signal.SIGINT  # the shell's status, if the signal is blocked
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -1,5 +1,6 @@
 """Command-line tests, run in-process via main(argv) plus one real subprocess."""
 
+import contextlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from factoradic.cli import main
 from factoradic.rules import DivisibilityRule
 
 from golden import RULE_RENDERINGS
+from test_core import int_text_limit
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +83,36 @@ def test_mod_with_check(capsys):
     assert (code, out, err) == (0, "0\n", "")
     code, out, _ = run_cli(capsys, "mod", "16", "3", "--format", "json")
     assert json.loads(out) == {"n": 16, "k": 3, "residue": 1}
+
+
+def test_plain_mod_prints_through_format_decimal(capsys, monkeypatch):
+    # as its JSON branch does: a residue past the int/str limit prints too
+    k, fmt = _BIG_MODULI[1], cli._format_decimal
+    seen = []
+    def spy(x):
+        seen.append(x)
+        return fmt(x)
+    monkeypatch.setattr(cli, "_format_decimal", spy)
+    for n, r in ((16, 16), (4 * k - 1, k - 1)):
+        seen.clear()
+        assert run_cli(capsys, "mod", fmt(n), fmt(k)) == (0, f"{fmt(r)}\n", "")
+        assert seen == [r]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_main_leaves_the_int_text_limit_as_it_found_it(capsys, limit):
+    # main lifts the limit while it runs, so "+" and 5,000 digits still
+    # parse, and gives the caller's back on every exit: an answer, an error,
+    # and argparse's SystemExit for bad usage and for --version
+    n = 10**5000 - 1
+    with int_text_limit(limit):
+        assert run_cli(capsys, "mod", "+" + "9" * 5000, "7") == (0, f"{n % 7}\n", "")
+        assert sys.get_int_max_str_digits() == limit
+        for argv in (["mod", "5", "0"], ["mod", "5"], ["--version"]):
+            with contextlib.suppress(SystemExit):
+                main(argv)
+            assert sys.get_int_max_str_digits() == limit, argv
 
 
 def test_mod_check_mismatch_exits_2(capsys, monkeypatch):
@@ -403,20 +435,21 @@ def test_non_plain_decimal_text(capsys, monkeypatch, argv, code, out, err):
 def test_long_decimal_round_trip(capsys, monkeypatch):
     # 5,001 digits, with a zero run across a split: above the 4300-digit
     # int/str limit and more than twice the split cutoff
-    n = 3 * 10**5000 + 10**2000 + 7
-    seen = []
-    for name in ("_parse_decimal", "_format_decimal"):
-        def spy(x, _name=name, _f=getattr(cli, name)):
-            seen.append(_name)
-            return _f(x)
-        monkeypatch.setattr(cli, name, spy)
-    code, perm, _ = run_cli(capsys, "encode", str(n))
-    assert code == 0
-    assert perm == f"{format_permutation(encode(n))}\n"
-    monkeypatch.setattr(sys, "stdin", io.StringIO(perm))
-    code, out, _ = run_cli(capsys, "decode")
-    assert (code, out) == (0, f"{n}\n")
-    assert seen == ["_parse_decimal", "_format_decimal"]
+    with int_text_limit(0):  # the test's own text of n is past the limit
+        n = 3 * 10**5000 + 10**2000 + 7
+        seen = []
+        for name in ("_parse_decimal", "_format_decimal"):
+            def spy(x, _name=name, _f=getattr(cli, name)):
+                seen.append(_name)
+                return _f(x)
+            monkeypatch.setattr(cli, name, spy)
+        code, perm, _ = run_cli(capsys, "encode", str(n))
+        assert code == 0
+        assert perm == f"{format_permutation(encode(n))}\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(perm))
+        code, out, _ = run_cli(capsys, "decode")
+        assert (code, out) == (0, f"{n}\n")
+        assert seen == ["_parse_decimal", "_format_decimal"]
 
 
 def _n_of_length(digits):
@@ -436,26 +469,27 @@ _BIG_MODULI = (_n_of_length(2001), _n_of_length(5001))
 
 @pytest.mark.parametrize("n", JSON_INTEGERS.values(), ids=JSON_INTEGERS.keys())
 def test_json_n_is_the_text_of_json_dumps(capsys, monkeypatch, n):
-    text = cli._format_decimal(n)
-    perm = list(encode(n))
-    calls = []
-    def spy(x, _f=cli._format_decimal):
-        calls.append(x)
-        return _f(x)
-    monkeypatch.setattr(cli, "_format_decimal", spy)
-    cases = [
-        (["encode", text], {"n": n, "permutation": perm}),
-        (["digits", text], {"n": n, "digits": list(digits_from_integer(n))}),
-        (["mod", text, "7"], {"n": n, "k": 7, "residue": n % 7}),
-        (["decode", format_permutation(perm)], {"permutation": perm, "n": n}),
-        # a K past the split cutoff, and past the int/str limit
-        *((["mod", text, str(k)], {"n": n, "k": k, "residue": n % k}) for k in _BIG_MODULI),
-    ]
-    for argv, obj in cases:
-        calls.clear()
-        got = run_cli(capsys, *argv, "--format", "json")
-        assert got == (0, json.dumps(obj) + "\n", "")
-        assert calls == [v for v in obj.values() if type(v) is int]  # one call per int field
+    with int_text_limit(0):  # the test's own text of n and K is past the limit
+        text = cli._format_decimal(n)
+        perm = list(encode(n))
+        calls = []
+        def spy(x, _f=cli._format_decimal):
+            calls.append(x)
+            return _f(x)
+        monkeypatch.setattr(cli, "_format_decimal", spy)
+        cases = [
+            (["encode", text], {"n": n, "permutation": perm}),
+            (["digits", text], {"n": n, "digits": list(digits_from_integer(n))}),
+            (["mod", text, "7"], {"n": n, "k": 7, "residue": n % 7}),
+            (["decode", format_permutation(perm)], {"permutation": perm, "n": n}),
+            # a K past the split cutoff, and past the int/str limit
+            *((["mod", text, str(k)], {"n": n, "k": k, "residue": n % k}) for k in _BIG_MODULI),
+        ]
+        for argv, obj in cases:
+            calls.clear()
+            got = run_cli(capsys, *argv, "--format", "json")
+            assert got == (0, json.dumps(obj) + "\n", "")
+            assert calls == [v for v in obj.values() if type(v) is int]  # one call per int field
 
 
 def test_import_loads_no_dataclasses_inspect_json_or_typing():

@@ -99,12 +99,15 @@ def test_prefix_inversions_golden():
 
 
 def test_prefix_inversions_skips_the_factorial_when_n_is_below_it(monkeypatch):
-    # 5 < 5000! already; before, 5000! was computed to reduce 5 mod it
+    # 5 < 5000! already; before, 5000! was computed to reduce 5 mod it.  Nor
+    # is 31! computed for 30!, whose length is 31 (30! < 31!)
+    big = factorial(30)
     def refuse(s):
         raise AssertionError(f"factorial({s}) computed")
     monkeypatch.setattr(modular, "factorial", refuse)
     assert prefix_inversions(5, 5000) == inversion_set(encode(5, 5000))
     assert prefix_inversions(5, 5000).count() == 3  # 5 = 2*2! + 1*1!
+    assert prefix_inversions(big, 31) == inversion_set(encode(big, 31))
 
 
 def test_prefix_inversions_checks_n_once(monkeypatch):
@@ -132,15 +135,37 @@ def test_prefix_inversions_cap_comes_first():
 
 
 def test_prefix_inversions_reduce_n_wherever_it_may_reach_the_factorial():
-    # the guard skips n mod s! only when log2(s!) is over a bit above n's
-    # bit length; on either side of it the set is the one n mod s! gives
+    # n is cut to n mod s! exactly when its length (core._length) is past s;
+    # on either side of that, and around _BIG_BITS (s = 171) and the
+    # recursive division (n and s! past _DIV_CUTOFF bits), the set is the one
+    # n mod s! gives
     rng = random.Random(15)
     ns = [factorial(j) + d for j in range(1, 301) for d in (-1, 0, 1)]
     ns += [rng.getrandbits(rng.randrange(1, 2000)) for _ in range(300)]
-    for s in range(1, 13):
+    big = [factorial(j) + d for j in (999, 1000, 1001) for d in (-1, 0, 1)]
+    big += [rng.getrandbits(b) for b in (9000, 12000, 30000)]
+    for s in (*range(1, 13), *range(169, 174), 1000):
         f = factorial(s)
-        for n in ns:
+        for n in ns if s < 1000 else ns[::10] + big:
             assert prefix_inversions(n, s) == inversion_set(encode(n % f, s)), (n, s)
+    for n in ns[::7] + big:
+        for s in range(max(1, minimal_prefix_length(n) - 1), minimal_prefix_length(n) + 2):
+            assert prefix_inversions(n, s) == inversion_set(encode(n % factorial(s), s)), (n, s)
+
+
+def test_cuts_below_a_factorial_use_the_recursive_division(monkeypatch):
+    # builtin % is quadratic up to CPython 3.11, so residue and
+    # prefix_inversions cut n with core._divmod, which never applies % to it
+    class NoMod(int):
+        def __rmod__(self, other):
+            raise AssertionError("builtin % applied to n")
+    monkeypatch.setattr(modular, "factorial", lambda j: NoMod(factorial(j)))
+    n = random.Random(20).getrandbits(20000)
+    assert n.bit_length() > core._DIV_CUTOFF
+    for s in (5, 200, 400, 1009):
+        assert prefix_inversions(n, s) == inversion_set(encode(n % factorial(s), s)), s
+    for k in (7, 97, 401, 1009, 65521):
+        assert residue(n, k) == n % k, k
 
 
 def test_divisible_integer_and_prefix_forms():
@@ -267,6 +292,10 @@ def test_residue_finds_the_length_of_n_once(monkeypatch):
     assert n.bit_length() > core._BIG_BITS
     assert residue(n, 65521) == n % 65521
     assert lengths == [True]  # one call, on n itself
+    want = inversion_set(encode(n, 4000))
+    lengths.clear()
+    assert prefix_inversions(n, 4000) == want  # n < 4000!: no cut
+    assert lengths == [True]
 
 
 def test_residue_checks_the_cap_only_on_the_tree_path(monkeypatch):
