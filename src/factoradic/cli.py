@@ -29,6 +29,7 @@ from .core import (
     _check_cap,
     _format_decimal,
     _parse_decimal,
+    _text,
     compare_factoradic,
     decode,
     digits_from_integer,
@@ -134,7 +135,7 @@ def _cmd_mod(args) -> int:
         want = mod_direct(args.n, args.k)
         if r != want:
             print(
-                f"mismatch: inversion path gave {r}, direct path gave {want}",
+                f"mismatch: inversion path gave {_text(r)}, direct path gave {_text(want)}",
                 file=sys.stderr,
             )
             status = 2
@@ -310,11 +311,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # lift CPython's 4300-digit str<->int conversion cap while main runs, as
-    # input is unbounded; the caller's limit is restored on every exit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
@@ -335,9 +331,6 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGINT)
         return 128 + signal.SIGINT  # the shell's status, if the signal is blocked
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -633,17 +633,24 @@ def format_permutation(entries: Sequence[int]) -> str:
 
 
 def _parse_decimal(text: str) -> int:
-    """``int(text)``, with a plain ASCII digit string of more than
-    ``_DIV_CUTOFF`` digits split at powers of ten: the halves are
-    parsed apart and joined by one multiplication, which is subquadratic
-    where the builtin is not (CPython up to 3.11).
+    """``int(text)`` at any length, whatever CPython's int text limit.
 
-    Every other text, signs, blanks, underscores and non-ASCII digits
-    included, goes to ``int`` unchanged, errors and all.
+    Text of more than ``_DIV_CUTOFF`` characters in ``int``'s grammar (blanks,
+    one sign, Unicode decimals, single underscores between them) has its
+    digits split at powers of ten, the halves parsed apart and joined by one
+    multiplication, subquadratic where the builtin is not (CPython up to
+    3.11).  Other text goes to ``int``, errors and all.
     """
-    if len(text) <= _DIV_CUTOFF or not (text.isascii() and text.isdigit()):
+    if len(text) <= _DIV_CUTOFF:
         return int(text)
-    return _parse_digits(text, 0, len(text), {})
+    body = text.strip()
+    unsigned = body[1:] if body[:1] in ("+", "-") else body
+    runs = unsigned.split("_")  # an empty run: a leading, trailing or doubled "_"
+    digits = "".join(runs)
+    if "" in runs or not digits.isdecimal():
+        return int(text)
+    n = _parse_digits(digits, 0, len(digits), {})
+    return -n if body[:1] == "-" else n
 
 
 def _parse_digits(text: str, lo: int, hi: int, pow10: dict) -> int:
@@ -687,8 +694,8 @@ def _pow10(k: int, pow10: dict) -> int:
 def parse_permutation(text: str) -> tuple[int, ...]:
     """Parse "(2, 3, 0, 1)", "2,3,0,1", or "2 3 0 1" into a tuple.
 
-    Only syntax is checked here; validity (distinctness, completeness) is
-    enforced by whichever operation consumes the result.
+    Entries are read as ``int`` reads them, at any length; validity
+    (distinctness, completeness) is checked by whichever operation uses them.
     """
     t = text.strip()
     if t.startswith("(") and t.endswith(")"):
@@ -700,12 +707,12 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     for tok in parts:
         try:
             v = int(tok, 10)
-        except ValueError:
-            # plain digits fail here only past CPython's int text limit
-            if not (tok.isascii() and tok.isdigit()):
+        except ValueError:  # not an entry, or one past CPython's int text limit
+            try:
+                v = _parse_decimal(tok)
+            except ValueError:
                 raise ParseError(f"invalid entry {tok!r} in {text!r}") from None
-            v = _parse_decimal(tok)
         if v < 0:
-            raise ParseError(f"negative entry {v} in {text!r}")
+            raise ParseError(f"negative entry {_text(v)} in {text!r}")
         entries.append(v)
     return tuple(entries)

@@ -32,7 +32,7 @@ from itertools import islice
 from math import factorial
 
 from .core import _at_least, _check_cap, _check_count, _counts, _digits, _divmod
-from .core import _length, _permutation, _ranks, _validate_prefix
+from .core import _length, _permutation, _ranks, _text, _validate_prefix
 from .errors import ModulusZero, PrefixTooShort
 from .inversions import InversionSet
 
@@ -63,7 +63,7 @@ def _prefix_sum(prefix: Iterable[int], need: int, weights: Iterable[int], k: int
     """
     entries = prefix[:need] if isinstance(prefix, tuple) else tuple(islice(prefix, need))
     if len(entries) < need:
-        raise PrefixTooShort(f"need a {need}-prefix, got {len(entries)} entries")
+        raise PrefixTooShort(f"need a {_text(need)}-prefix, got {len(entries)} entries")
     p, m = _validate_prefix(entries)
     weights = list(islice(weights, m))
     return _weighted_sum(_counts(_ranks(p[: len(weights)])), weights, k)

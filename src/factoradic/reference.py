@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from math import factorial
 
-from .core import _at_least, decode, encode
+from .core import _at_least, _text, decode, encode
 from .errors import ModulusZero, PrefixTooShort, RangeTooLarge
 from .inversions import inversion_set
 from .modular import residue
@@ -37,7 +37,7 @@ def nth_permutation_bruteforce(n: int, s: int) -> tuple[int, ...]:
     """n-th length-s permutation: all s! of them, sorted by reversed tuple, larger first."""
     _check_brute(s)
     if not 0 <= n < factorial(s):
-        raise PrefixTooShort(f"need 0 <= n < {s}!, got {n}")
+        raise PrefixTooShort(f"need 0 <= n < {s}!, got {_text(n)}")
     return _sorted_permutations(s)[n]
 
 

@@ -99,7 +99,7 @@ def _check_listing(rule: DivisibilityRule) -> DivisibilityRule:
     length = rule.effective_length
     pairs = length * (length - 1) // 2
     if pairs > core.MAX_PREFIX_LENGTH:
-        raise RangeTooLarge(f"rule for {rule.modulus} lists {pairs} pairs > MAX_PREFIX_LENGTH")
+        raise RangeTooLarge(f"rule for {core._text(rule.modulus)} lists {pairs} pairs > MAX_PREFIX_LENGTH")
     return rule
 
 
@@ -143,24 +143,28 @@ def _render_terms(
     led = {sep: [(sep + head) % i for i in range(rule.effective_length)] for sep in (" + ", " - ")}
     out = []
     for c, js in columns.items():
-        sign = "+" if c > 0 else "-"
-        sep = f" {sign} " if abs(c) == 1 else " + "
+        sign, unit = ("+" if c > 0 else "-"), abs(c) == 1
+        sep = f" {sign} " if unit else " + "
         heads = led[sep]
         tails = [tail % j for j in js]
-        text = []
+        # one join a group, sign and brackets included, and one over the
+        # groups: the text is held twice at most
+        text = [f"{sign} " if unit else f"{sign} {abs(c)}{group_open}"]
         for t, (lo, hi) in enumerate(zip([0, *js], js)):
             if t < len(js) - 1:
                 text += map(str.join, heads[lo:hi], repeat(["", *tails[t:]]))
             elif lo < hi:
                 text += (tails[t].join(heads[lo:hi]), tails[t])
-        body = "".join(text)[len(sep):]
-        if abs(c) == 1:
-            if body:
-                out.append(f"{sign} {body}")
-        else:
-            out.append(f"{sign} {abs(c)}{group_open}{body}{group_close}")
-    # columns 0 and 1 have coefficient 1, so the sum opens with "+ "
-    return " ".join(out).removeprefix("+ ")
+        if len(text) > 1:
+            text[1] = text[1][len(sep):]  # every row opens with sep
+        elif unit:
+            continue
+        if not unit:
+            text.append(group_close)
+        if not out:  # columns 0 and 1 have coefficient 1: the sum opens with "+ "
+            text[0] = text[0].removeprefix("+ ")
+        out.append("".join(text))
+    return " ".join(out)
 
 
 def _render_json(rule: DivisibilityRule) -> str:
@@ -175,7 +179,11 @@ def _render_json(rule: DivisibilityRule) -> str:
     for j, c in enumerate(rule.coefficients[1:], 1):
         tail = f'{j}, "c": {c}}}'
         columns.append((tail + ", ").join(heads[:j]) + tail)
-    return f'{{"k": {rule.modulus}, "terms": [{", ".join(columns)}]}}'
+    # the object's head and tail ride on the first and last column, so the
+    # text is joined once and held twice
+    columns[:1] = [f'{{"k": {rule.modulus}, "terms": [' + "".join(columns[:1])]
+    columns[-1] += "]}"
+    return ", ".join(columns)
 
 
 def render_rule(rule: DivisibilityRule, fmt: str = "plain") -> str:

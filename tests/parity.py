@@ -11,7 +11,7 @@ answered every call alike, so a refactor can show that it kept behaviour:
 Run it in each checkout (it imports the package from the ``src`` next to
 this file) and diff the ``--verbose`` output to find a mismatch.  It needs
 only the standard library, and runs with CPython's limit on int text lifted,
-as the CLI does.
+so that a label can print its row's integers.
 
 The table covers every public function and subcommand, the error rows of
 the tests, the codec around factorials, the residues, the rules, and the
@@ -37,6 +37,7 @@ import factoradic as fc
 from factoradic import cli, core, reference
 
 BIG = 10**5000
+BIG_RULE = fc.generate_rule(factorial(1700))  # a modulus past the limit, 1,700 columns
 
 
 def _show(value) -> str:
@@ -150,6 +151,12 @@ BAD_ROWS = [
     (fc.prefix_inversions, (5, -BIG)),
     (fc.residue, (-BIG, 3)),
     (fc.encode, (-BIG,)),
+    (fc.residue_from_prefix, ((0, 1, 2), BIG)),
+    (fc.divisible, ((1, 0), BIG)),
+    (fc.render_rule, (BIG_RULE,)),
+    (fc.DivisibilityRule.terms.fget, (BIG_RULE,)),
+    (reference.nth_permutation_bruteforce, (BIG, 3)),
+    (fc.parse_permutation, ("(-1" + "0" * 5000 + ")",)),
     (reference.mod_direct, (5, -BIG)),
     (fc.inversion_set((1, 0)).inv, (0, BIG)),
     (fc.kempner, (-BIG,)),

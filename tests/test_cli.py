@@ -102,9 +102,9 @@ def test_plain_mod_prints_through_format_decimal(capsys, monkeypatch):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
 @pytest.mark.parametrize("limit", [4300, 0])
 def test_main_leaves_the_int_text_limit_as_it_found_it(capsys, limit):
-    # main lifts the limit while it runs, so "+" and 5,000 digits still
-    # parse, and gives the caller's back on every exit: an answer, an error,
-    # and argparse's SystemExit for bad usage and for --version
+    # "+" and 5,000 digits parse under any limit, and main leaves the
+    # caller's as it was on every exit: an answer, an error, and argparse's
+    # SystemExit for bad usage and for --version
     n = 10**5000 - 1
     with int_text_limit(limit):
         assert run_cli(capsys, "mod", "+" + "9" * 5000, "7") == (0, f"{n % 7}\n", "")
@@ -120,6 +120,17 @@ def test_mod_check_mismatch_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "mod", "10", "3", "--check")
     assert code == 2
     assert "mismatch" in err
+
+
+def test_mod_check_mismatch_prints_residues_past_the_int_text_limit(capsys, monkeypatch):
+    # a K of 5,001 digits and n = K - 1: the mismatch line prints both
+    # residues, K - 1 and K, under the default limit
+    k_text = "1" + "0" * 4999 + "7"
+    monkeypatch.setattr(cli, "residue", lambda n, k: (n % k) + 1)
+    with int_text_limit(4300):
+        code, out, err = run_cli(capsys, "mod", "1" + "0" * 4999 + "6", k_text, "--check")
+    assert code == 2
+    assert err == f"mismatch: inversion path gave {k_text}, direct path gave {k_text[:-1]}6\n"
 
 
 def test_rule_plain_golden(capsys):
@@ -398,8 +409,8 @@ def _usage_error(command, usage_tail):
     )
 
 
-# Decimal text other than plain ASCII digits goes to int() as it always did;
-# expected stdout, stderr and exit status are those of the earlier CLI
+# Decimal text other than plain ASCII digits reads as int() reads it, at any
+# length; expected stdout, stderr and exit status are those of the earlier CLI
 NON_PLAIN_DECIMALS = [
     (["encode", " 12"], 0, "(0, 2, 3, 1)\n", ""),
     (["encode", "+7"], 0, "(1, 0, 3, 2)\n", ""),
@@ -450,6 +461,32 @@ def test_long_decimal_round_trip(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "decode")
         assert (code, out) == (0, f"{n}\n")
         assert seen == ["_parse_decimal", "_format_decimal"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
+def test_main_never_sets_the_int_text_limit(capsys, monkeypatch):
+    # under the default limit, with the setter refusing every call: the
+    # non-plain decimals, then a 5,001-digit n with a sign, underscores and
+    # blanks, through encode and decode
+    def refuse(digits):
+        raise AssertionError(f"main set the int text limit to {digits}")
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    n_text = "3" + "0" * 2999 + "1" + "0" * 1999 + "7"  # 3 * 10**5000 + 10**2000 + 7
+    with int_text_limit(4300), monkeypatch.context() as patched:
+        patched.setattr(sys, "set_int_max_str_digits", refuse)
+        for argv, code, out, err in NON_PLAIN_DECIMALS:
+            try:
+                got = main(argv)
+            except SystemExit as exc:
+                got = exc.code
+            assert (got, *capsys.readouterr()) == (code, out, err), argv
+        n = 3 * 10**5000 + 10**2000 + 7
+        for text in (n_text, f" +{n_text[:9]}_{n_text[9:]}\u3000"):
+            code, perm, err = run_cli(capsys, "encode", text)
+            assert (code, perm, err) == (0, f"{format_permutation(encode(n))}\n", "")
+            patched.setattr(sys, "stdin", io.StringIO(perm))
+            assert run_cli(capsys, "decode") == (0, f"{n_text}\n", "")
 
 
 def _n_of_length(digits):

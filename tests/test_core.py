@@ -30,6 +30,7 @@ from factoradic import (
     decode,
     digits_from_integer,
     digits_from_permutation,
+    divisible,
     encode,
     evaluate_rule,
     format_permutation,
@@ -42,6 +43,7 @@ from factoradic import (
     parse_permutation,
     permutation_from_digits,
     prefix_inversions,
+    render_rule,
     residue,
     residue_from_prefix,
     rule_table,
@@ -843,7 +845,7 @@ def int_text_limit(digits):
 
 @pytest.fixture
 def unlimited_int_text():
-    """Lift CPython's 4300-digit int/str limit, as the CLI does."""
+    """Lift CPython's 4300-digit int/str limit, for tests that print big ints with str."""
     with int_text_limit(0):
         yield
 
@@ -891,6 +893,44 @@ def test_long_non_plain_decimal_text_goes_to_int(cutoff, unlimited_int_text):
                     core._parse_decimal(text)
             else:
                 assert core._parse_decimal(text) == want
+
+
+DECIMAL_DIGITS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                  "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+BLANKS = ("", " ", "\u3000", "\t\n ", " \u3000")
+
+
+@st.composite
+def decimal_texts(draw):
+    """Up to 6,000 digits in one to two runs of ASCII, Arabic-Indic or
+    full-width digits, with blanks, signs, underscores and junk around and
+    between them: int's grammar, and text just outside it."""
+    # weighted so that about 30% of the texts are in the grammar and about
+    # 20-25% are longer than the base case (500 draws)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lengths = st.one_of(st.integers(1200, 3000), st.integers(0, 30))
+    runs = draw(st.lists(st.tuples(st.sampled_from(DECIMAL_DIGITS), lengths), min_size=1, max_size=2))
+    body = draw(st.sampled_from(["", "", "_", "_", "__", " ", "x"])).join(
+        "".join(rng.choices(alphabet, k=length)) for alphabet, length in runs
+    )
+    head = draw(st.sampled_from(BLANKS)) + draw(st.sampled_from(["", "", "+", "-", "+-", "_", "x"]))
+    return head + body + draw(st.sampled_from(["", "", "", "_", "x", "\u00b2"])) + draw(st.sampled_from(BLANKS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([3, None]), decimal_texts())
+def test_parse_decimal_reads_ints_grammar_under_the_default_limit(cutoff, text):
+    # the same value as int() with the limit lifted, or a ValueError as it
+    def outcome(parse):
+        try:
+            return parse(text)
+        except ValueError:
+            return ValueError
+
+    with int_text_limit(0):
+        want = outcome(int)
+    with int_text_limit(4300), digit_cutoff(cutoff or core._DIV_CUTOFF):
+        assert outcome(core._parse_decimal) == want
 
 
 @pytest.mark.parametrize("cutoff", [3, None])
@@ -965,6 +1005,11 @@ def test_decode_requires_complete_permutation():
 
 BIG = 10**5000
 BIG_TEXT = "1" + "0" * 5000
+# a modulus past the text limit whose rule lists too many pairs: S(1700!) is
+# 1,700, where 10**5000's rule would hold 20,005 coefficients (43 MB)
+BIG_RULE = generate_rule(factorial(1700))
+with int_text_limit(0):
+    BIG_RULE_TEXT = f"rule for {factorial(1700)} lists 1444150 pairs > MAX_PREFIX_LENGTH"
 # ids name the rows, as their messages are over 5,000 characters long
 BIG_INPUTS = [
     pytest.param(*row, id=f"{row[0].__name__}-{row[2].__name__}-past-the-text-limit")
@@ -978,6 +1023,12 @@ BIG_INPUTS = [
         (prefix_inversions, (5, -BIG), PrefixTooShort, f"prefix length must be >= 1, got -{BIG_TEXT}"),
         (residue, (-BIG, 3), ValueError, f"expected a non-negative integer, got -{BIG_TEXT}"),
         (encode, (-BIG,), ValueError, f"expected a non-negative integer, got -{BIG_TEXT}"),
+        (residue_from_prefix, ((0, 1, 2), BIG), PrefixTooShort, f"need a {BIG_TEXT}-prefix, got 3 entries"),
+        (divisible, ((1, 0), BIG), PrefixTooShort, f"need a {BIG_TEXT}-prefix, got 2 entries"),
+        (render_rule, (BIG_RULE,), RangeTooLarge, BIG_RULE_TEXT),
+        (DivisibilityRule.terms.fget, (BIG_RULE,), RangeTooLarge, BIG_RULE_TEXT),
+        (nth_permutation_bruteforce, (BIG, 3), PrefixTooShort, f"need 0 <= n < 3!, got {BIG_TEXT}"),
+        (parse_permutation, (f"(-{BIG_TEXT})",), ParseError, f"negative entry -{BIG_TEXT} in '(-{BIG_TEXT})'"),
     ]
 ]
 # the other integer arguments bounded below, each by the same check
@@ -1228,12 +1279,18 @@ def test_parse_permutation_rejects_garbage(text):
 
 
 def test_parse_permutation_reads_entries_past_the_int_text_limit():
-    with int_text_limit(4300):  # the default, whatever an earlier test set
-        assert parse_permutation("(1, " + "1" * 5000 + ")") == (1, (10**5000 - 1) // 9)
-        assert parse_permutation("2 " + "9" * 4301) == (2, 10**4301 - 1)
-        for bad in ("-" + "1" * 5000, "1" * 5000 + "x", "\u0661" * 5000):
-            with pytest.raises(ParseError, match="^invalid entry "):
-                parse_permutation("(1, " + bad + ")")
+    # in int's grammar at any length, with the same answers under any limit;
+    # a negative entry is a BIG_INPUTS row
+    for digits in (4300, 0):  # the default, and none
+        with int_text_limit(digits):
+            assert parse_permutation("(1, " + "1" * 5000 + ")") == (1, (10**5000 - 1) // 9)
+            assert parse_permutation("2 " + "9" * 4301) == (2, 10**4301 - 1)
+            assert parse_permutation(f"(+{BIG_TEXT}, 0)") == (BIG, 0)
+            assert parse_permutation("0 " + "\u0661" * 5000) == (0, (10**5000 - 1) // 9)
+            assert parse_permutation("(+1_" + "0" * 5000 + ")") == (BIG,)
+            for bad in ("1" * 5000 + "x", "1_" * 2500, "+-" + "1" * 5000, "1__" + "1" * 5000):
+                with pytest.raises(ParseError, match="^invalid entry "):
+                    parse_permutation("(1, " + bad + ")")
 
 
 def test_format_permutation_prints_entries_past_the_int_text_limit():

@@ -10,7 +10,7 @@ from test_core import BAD_INPUTS, int_text_limit
 # outcome in it updates this value, and says in CHANGES.md which lines of
 # ``python tests/parity.py --verbose`` moved and why.  It is the same on
 # CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
-PINNED = "c949a5d3399355534caa68502b3a68ded2df244b460681fc8e0232a1616160ff"
+PINNED = "5e351bd2970c376d5a1309771cf779f44cf2a87b217114670bb8a000361da372"
 
 
 def test_the_parity_digest_is_the_pinned_one():

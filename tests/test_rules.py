@@ -5,6 +5,7 @@ import hashlib
 import json
 import pickle
 import time
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -263,10 +264,27 @@ def test_rendering_bytes_golden():
 
 
 def test_json_text_is_json_dumps_of_to_json_obj():
-    # 1409 is the largest prime whose 992,016 pairs the listing cap allows
-    for k in [*range(2, 101), 593, 599, 1409]:
-        rule = generate_rule(k)
+    # 1409 is the largest prime whose 992,016 pairs the listing cap allows;
+    # the rules made by hand list no pair, or one
+    made = (DivisibilityRule(7, ()), DivisibilityRule(7, (3,)), DivisibilityRule(2, (1, 1)))
+    for rule in [*map(generate_rule, [*range(2, 101), 593, 599, 1409]), *made]:
         assert render_rule(rule, "json") == json.dumps(rule.to_json_obj())
+
+
+@pytest.mark.parametrize("k", [599, 1409])
+def test_a_rendering_peaks_at_twice_its_text(k):
+    # the rows and the one text they are joined into; one more copy of the
+    # whole (a slice, a wrapping f-string, a removeprefix) would read 3x
+    rule = generate_rule(k)
+    for fmt in ("plain", "latex", "json"):
+        tracemalloc.start()
+        try:
+            text = render_rule(rule, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * len(text), (fmt, peak / len(text))
+        del text
 
 
 def test_unknown_format_rejected():
