@@ -37,12 +37,12 @@ from .errors import (
     RangeTooLarge,
 )
 
-#: Hard cap on prefix lengths.  The integers themselves are unbounded, but a
-#: permutation occupies O(s) memory, so absurd length requests are refused.
-#: Every check reads it here, at call time, so a caller changes it by setting
-#: ``factoradic.core.MAX_PREFIX_LENGTH``.  ``factoradic.MAX_PREFIX_LENGTH`` is
-#: a copy made at import: after ``factoradic.MAX_PREFIX_LENGTH = 3``,
-#: ``encode(10**10)`` still returns 14 entries.
+#: Hard cap on sequence lengths, as a permutation occupies O(s) memory: no
+#: writing, digit sequence, prefix or rule of more entries goes in or comes
+#: out, though integers are unbounded.  Every check reads it here, at call
+#: time, so a caller changes it by setting ``factoradic.core.MAX_PREFIX_LENGTH``.
+#: ``factoradic.MAX_PREFIX_LENGTH`` is a copy made at import: after
+#: ``factoradic.MAX_PREFIX_LENGTH = 3``, ``encode(10**10)`` still returns 14 entries.
 MAX_PREFIX_LENGTH = 10**6
 
 # The four crossovers below are timeit minima on CPython 3.11.7 (2 vCPU x86-64).
@@ -107,10 +107,10 @@ _DIV_CUTOFF = 2500
 # validation helpers
 #
 # Every public function checks its input once, here, and then hands it to
-# unchecked kernels.  The checks are C-level passes (map, min, set), and a
-# loop of byte marks for a complete permutation; an error message is worked
-# out only once a check has failed, and its integers are printed by
-# :func:`_text`.
+# unchecked kernels; :func:`_ints` refuses a sequence past MAX_PREFIX_LENGTH
+# entries, as the integer side refuses a writing that long.  The checks are
+# C-level passes (map, min, set) and byte marks; an error message is worked
+# out only once a check has failed, its integers printed by :func:`_text`.
 
 def _text(x) -> str:
     """``str(x)`` for an int or a tuple, at any size.
@@ -166,10 +166,11 @@ def _validate_digits(digits: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 def _ints(entries: Sequence[int]) -> tuple[int, ...]:
-    """The entries as a tuple of ints: a tuple of ints as it is, with no copy."""
-    if type(entries) is tuple and operator.countOf(map(type, entries), int) == len(entries):
-        return entries
-    return tuple(map(operator.index, entries))
+    """The entries as a tuple of ints (a tuple of ints as it is, no copy), at most the cap."""
+    if type(entries) is not tuple or operator.countOf(map(type, entries), int) != len(entries):
+        entries = tuple(map(operator.index, entries))
+    _check_cap(len(entries))
+    return entries
 
 
 def _validate_prefix(entries: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -562,7 +563,6 @@ def permutation_from_digits(digits: Sequence[int]) -> tuple[int, ...]:
     with exactly digits[j] unused values above it.
     """
     d, m = _validate_digits(digits)
-    _check_cap(len(d))
     # d is the caller's; the long kernel writes over a copy of it
     return _permutation(d[:m] if m <= _BIG_PERM else _words(d[:m]), len(d))
 

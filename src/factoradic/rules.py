@@ -22,7 +22,7 @@ JSON is the text ``json.dumps`` gives for ``to_json_obj()``, built without it.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import repeat
+from itertools import islice, repeat
 from math import isqrt
 
 from . import core
@@ -111,9 +111,17 @@ def _check_at_least_two(k, name: str) -> int:
 
 
 def generate_rule(k: int) -> DivisibilityRule:
-    """Divisibility rule for modulus k >= 2."""
+    """Divisibility rule for modulus k >= 2.
+
+    Raises ``RangeTooLarge`` past MAX_PREFIX_LENGTH columns, after at most
+    one more step of j! mod k: no prefix that long can be evaluated.
+    """
     k = _check_at_least_two(k, "modulus")
-    return DivisibilityRule(k, tuple(w if 2 * w <= k else w - k for w in _factorials_mod(k)))
+    cap = core.MAX_PREFIX_LENGTH
+    coefficients = tuple(w if 2 * w <= k else w - k for w in islice(_factorials_mod(k), cap + 1))
+    if len(coefficients) > cap:
+        raise RangeTooLarge(f"rule for {core._text(k)} has more than MAX_PREFIX_LENGTH={cap} columns")
+    return DivisibilityRule(k, coefficients)
 
 
 def evaluate_rule(rule: DivisibilityRule, prefix: Sequence[int]) -> int:
@@ -137,6 +145,9 @@ def _render_terms(
     join over its rows, ``tail.join(h_lo .. h_hi-1) + tail``.
     """
     _check_listing(rule)
+    # no coefficient is longer than the modulus; past _DIV_CUTOFF bits they
+    # print by core._text, as str may meet CPython's limit on int text
+    big = rule.modulus.bit_length() > core._DIV_CUTOFF
     columns: dict[int, list[int]] = {}
     for j, c in enumerate(rule.coefficients):
         columns.setdefault(c, []).append(j)
@@ -149,7 +160,7 @@ def _render_terms(
         tails = [tail % j for j in js]
         # one join a group, sign and brackets included, and one over the
         # groups: the text is held twice at most
-        text = [f"{sign} " if unit else f"{sign} {abs(c)}{group_open}"]
+        text = [f"{sign} " if unit else f"{sign} {core._text(abs(c)) if big else abs(c)}{group_open}"]
         for t, (lo, hi) in enumerate(zip([0, *js], js)):
             if t < len(js) - 1:
                 text += map(str.join, heads[lo:hi], repeat(["", *tails[t:]]))
@@ -174,14 +185,17 @@ def _render_json(rule: DivisibilityRule) -> str:
     '{"i": i, "j": ' followed by the column's tail 'j, "c": c}'.
     """
     _check_listing(rule)
+    k, coefficients = rule.modulus, rule.coefficients
+    if k.bit_length() > core._DIV_CUTOFF:  # as in _render_terms
+        k, coefficients = core._text(k), tuple(map(core._text, coefficients))
     heads = ['{"i": %d, "j": ' % i for i in range(rule.effective_length)]
     columns = []
-    for j, c in enumerate(rule.coefficients[1:], 1):
+    for j, c in enumerate(coefficients[1:], 1):
         tail = f'{j}, "c": {c}}}'
         columns.append((tail + ", ").join(heads[:j]) + tail)
     # the object's head and tail ride on the first and last column, so the
     # text is joined once and held twice
-    columns[:1] = [f'{{"k": {rule.modulus}, "terms": [' + "".join(columns[:1])]
+    columns[:1] = [f'{{"k": {k}, "terms": [' + "".join(columns[:1])]
     columns[-1] += "]}"
     return ", ".join(columns)
 

@@ -8,15 +8,17 @@ answered every call alike, so a refactor can show that it kept behaviour:
     python tests/parity.py             # the digest
     python tests/parity.py --verbose   # one line per call, then the digest
 
-Run it in each checkout (it imports the package from the ``src`` next to
-this file) and diff the ``--verbose`` output to find a mismatch.  It needs
-only the standard library, and runs with CPython's limit on int text lifted,
-so that a label can print its row's integers.
+It imports the package from the ``src`` next to this file.  To find a
+mismatch, ``python tools/parity_diff.py BASE`` runs this table on a commit
+and on the working tree, and lists the calls whose outcomes differ.  It
+needs only the standard library, and runs with CPython's limit on int text
+lifted, so that a label can print its row's integers.
 
 The table covers every public function and subcommand, the error rows of
 the tests, the codec around factorials, the residues, the rules, and the
 decimal text split around its base case; and, under ``MAX_PREFIX_LENGTH``
-patched to 1, 2, 5 and 200, the entry points that read the cap.
+patched to 1, 2, 5 and 200, the entry points that read the cap, on both
+the integer and the sequence side.
 """
 
 from __future__ import annotations
@@ -280,6 +282,16 @@ def _capped_rows(cap: int) -> list:
             rows += [(fc.prefix_inversions, (n, s)) for s in (1, cap, cap + 1)]
     for s in (cap, cap + 1):
         rows += [(fc.permutation_from_digits, ((0,) * s,)), (fc.decode, (tuple(range(s)),)), (fc.encode, (0, s))]
+        # the sequence side at the same lengths, padded (nothing moves) and
+        # moved (every entry does)
+        rule = fc.generate_rule(max(factorial(s), 2))  # S(s!) = s columns
+        for p, d in ((tuple(range(s)), (0,) * s), (tuple(range(s))[::-1], tuple(range(s)))):
+            rows += [
+                (fc.minimal_form, (p,)), (fc.compare_factoradic, (p, (0,))), (fc.compare_factoradic, ((0,), p)),
+                (fc.digits_from_permutation, (p,)), (_inversions, (p,)), (fc.residue_from_prefix, (p, s)),
+                (fc.evaluate_rule, (rule, p)), (fc.integer_from_digits, (d,)),
+            ]
+        rows += [(fc.decode, (tuple(range(s))[::-1],)), (fc.permutation_from_digits, (tuple(range(s)),))]
     for k in (3, 5, 7, 11, 23, 211):
         rule = fc.generate_rule(k)
         rows += [(_listing, (rule,)), (fc.render_rule, (rule, "json"))]
@@ -287,9 +299,9 @@ def _capped_rows(cap: int) -> list:
     return rows
 
 
-def lines():
-    """One line per call, ``label -> outcome``: the default cap first, then
-    each patched one.  CPython's int text limit is lifted meanwhile."""
+def outcomes():
+    """``(label, outcome)`` per call: the default cap first, then each
+    patched one.  CPython's int text limit is lifted meanwhile."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
@@ -302,15 +314,17 @@ def lines():
                         got = _show(call(*args))
                     except Exception as exc:  # every outcome is recorded
                         got = f"{type(exc).__name__}: {exc}"
-                    yield f"{f'cap={cap} ' if cap else ''}{_label(call, args)} -> {got}"
+                    yield f"{f'cap={cap} ' if cap else ''}{_label(call, args)}", got
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
 
 
 def digest(verbose: bool = False) -> str:
+    """The SHA-256 of one line per call, ``label -> outcome``."""
     h = hashlib.sha256()
-    for line in lines():
+    for label, got in outcomes():
+        line = f"{label} -> {got}"
         h.update(line.encode() + b"\n")
         if verbose:  # the line's own hash, then the line, cut if long
             short = line if len(line) <= 160 else f"{line[:150]}... [{len(line)} chars]"

@@ -55,6 +55,11 @@ def test_decode_reads_stdin(capsys, monkeypatch):
     assert (code, out) == (0, "16\n")
 
 
+def test_decode_refuses_an_empty_stdin_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(" \n"))
+    assert run_cli(capsys, "decode", "-") == (1, "", "error: expected a permutation on stdin\n")
+
+
 def test_encode_decode_pipe_10_to_100(capsys, monkeypatch):
     n = 10**100 - 7
     code, out, _ = run_cli(capsys, "encode", str(n))
@@ -225,6 +230,11 @@ def test_bench_small(capsys):
     obj = json.loads(out)
     assert obj["size"] == 300
     assert set(obj["seconds"]) == {"encode", "decode", "inversion_count"}
+
+
+def test_bench_reports_a_round_trip_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "decode", lambda perm: -1)
+    assert run_cli(capsys, "bench", "--size", "30") == (2, "", "mismatch: decode(encode(n)) != n\n")
 
 
 def test_bench_size_cap_comes_first(capsys):

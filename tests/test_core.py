@@ -163,6 +163,59 @@ def test_minimal_prefix_length_under_a_patched_cap(cap, j):
                     call(n)
 
 
+def _refused(call, *args) -> bool:
+    try:
+        call(*args)
+    except RangeTooLarge:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cap", [1, 5, 100])
+@settings(deadline=None)
+@given(st.data())
+def test_a_sequence_is_refused_exactly_when_its_integer_side_is(cap, data):
+    # a writing of s entries, m of them moved, and n, read off it under the
+    # default cap; then each sequence-side entry point against its inverse
+    s = data.draw(st.integers(1, cap + 2) | st.integers(max(cap - 1, 1), cap + 2), label="s")
+    m = data.draw(st.integers(0, s), label="m")
+    p = (*data.draw(st.permutations(range(m))), *range(m, s))
+    n, d = decode(p), digits_from_permutation(p)
+    k = data.draw(st.integers(1, s), label="k")
+    moduli = [j for j in (2, 3, 4, 5, 6, 7, 101, 103) if kempner(j) <= s]  # rules p can feed
+    kr = data.draw(st.sampled_from(moduli or [None]), label="rule modulus")
+    with patch.object(core, "MAX_PREFIX_LENGTH", cap):
+        by_length = _refused(encode, n, s)
+        assert by_length == (s > cap)
+        for call, args in [(decode, (p,)), (minimal_form, (p,)), (compare_factoradic, (p, (0,))),
+                           (compare_factoradic, ((0,), p))]:
+            assert _refused(call, *args) == by_length
+        assert _refused(integer_from_digits, d) == _refused(digits_from_integer, n, s)
+        assert _refused(digits_from_permutation, p) == _refused(permutation_from_digits, d)
+        assert _refused(inversion_set, p) == _refused(prefix_inversions, n, s)
+        assert _refused(residue_from_prefix, p, k) == _refused(prefix_inversions, n, k)
+        if kr is not None:
+            assert _refused(lambda: evaluate_rule(generate_rule(kr), p)) == _refused(generate_rule, kr)
+        if not by_length:
+            assert decode(p) == n and permutation_from_digits(d) == encode(n, s) == p
+
+
+def test_past_the_cap_every_sequence_entry_point_refuses():
+    # a random 200-entry permutation under a cap of 100: each of these
+    # answered while encode(decode(p)) refused
+    p = tuple(random.Random(10).sample(range(200), 200))
+    d = digits_from_permutation(p)
+    calls = [
+        lambda: decode(p), lambda: minimal_form(p), lambda: compare_factoradic(p, (0,)),
+        lambda: digits_from_permutation(p), lambda: inversion_set(p), lambda: integer_from_digits(d),
+        lambda: residue_from_prefix(p, 199), lambda: evaluate_rule(generate_rule(199), p),
+    ]
+    with patch.object(core, "MAX_PREFIX_LENGTH", 100):
+        for call in calls:
+            with pytest.raises(RangeTooLarge, match="^(prefix length 200|prefix length 199|rule for 199)"):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # padding and minimal forms
 

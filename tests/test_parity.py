@@ -1,16 +1,22 @@
 """The parity table of ``tests/parity.py``: its digest, and what it covers."""
 
+import pathlib
+import sys
+
 import factoradic
 import factoradic.cli as cli
 
 import parity
 from test_core import BAD_INPUTS, int_text_limit
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+import parity_diff
+
 # The digest the table gave when it was written.  A change that alters any
-# outcome in it updates this value, and says in CHANGES.md which lines of
-# ``python tests/parity.py --verbose`` moved and why.  It is the same on
+# outcome in it updates this value, and says in CHANGES.md which lines moved
+# (``python tools/parity_diff.py BASE`` lists them) and why.  It is the same on
 # CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
-PINNED = "5e351bd2970c376d5a1309771cf779f44cf2a87b217114670bb8a000361da372"
+PINNED = "f0774e6a322f5fead7a5327486806b36b5bdea4e9b7ee76946d8bf712cc4a3c1"
 
 
 def test_the_parity_digest_is_the_pinned_one():
@@ -35,3 +41,19 @@ def test_the_table_calls_every_public_function_and_subcommand():
     subcommands = {name.removeprefix("_cmd_") for name in vars(cli) if name.startswith("_cmd_")}
     run = {args[0] for call, args in rows if call is parity._run_cli}
     assert subcommands - run == set()
+
+
+def test_parity_diff_pairs_calls_by_label_and_occurrence():
+    old = [("a", "1"), ("b", "2"), ("a", "3"), ("c", "4"), ("d", "5")]
+    new = [("a", "1"), ("a", "9"), ("b", "2"), ("e", "6"), ("d", "5"), ("d", "7")]
+    assert parity_diff.pair(old, new) == [
+        ("a", "3", "9"), ("c", "4", None), ("e", None, "6"), ("d", None, "7"),
+    ]
+    assert parity_diff.pair(old, old) == []
+
+
+def test_parity_diff_cuts_long_text_and_keeps_it_comparable():
+    assert parity_diff.short("x" * 120) == "x" * 120
+    a, b = parity_diff.short("x" * 200 + "a"), parity_diff.short("x" * 200 + "b")
+    assert a != b and len(a) <= parity_diff.WIDTH
+    assert a.startswith("x" * 80) and "[201 chars, sha256 " in a

@@ -27,9 +27,10 @@ from factoradic import (
     rule_table,
 )
 from factoradic import core
-from factoradic.rules import DivisibilityRule, _is_prime
+from factoradic.rules import _FORMATS, DivisibilityRule, _is_prime
 
 from golden import RULE_RENDERINGS, RULE_TERM_SETS
+from test_core import int_text_limit
 
 
 def test_term_sets_golden():
@@ -175,14 +176,27 @@ def test_listing_refused_past_the_cap():
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_rule_past_the_cap_in_columns_is_refused_fast():
+    # S(100000007) = 100000007 columns; the walk stops one step past the cap
+    start = time.perf_counter()
+    message = f"^rule for 100000007 has more than MAX_PREFIX_LENGTH={MAX_PREFIX_LENGTH} columns$"
+    with pytest.raises(RangeTooLarge, match=message):
+        generate_rule(100_000_007)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_listing_cap_boundary(monkeypatch):
-    # the cap is read at call time; k = 5 lists 10 pairs, k = 7 lists 21
+    # the cap is read at call time; k = 5 lists 10 pairs, k = 7 lists 21;
+    # S(25) = 10 columns are allowed, S(11) = 11 are not
     monkeypatch.setattr(core, "MAX_PREFIX_LENGTH", 10)
     assert len(generate_rule(5).terms) == 10
     assert render_rule(generate_rule(5)).count("inv(") == 10
     with pytest.raises(RangeTooLarge):
         render_rule(generate_rule(7))
     assert evaluate_rule(generate_rule(7), encode(700, 7)) == 0
+    assert generate_rule(25).effective_length == 10
+    with pytest.raises(RangeTooLarge, match="^rule for 11 has more than MAX_PREFIX_LENGTH=10 columns$"):
+        generate_rule(11)
 
 
 def test_smallest_refused_listing_is_1423():
@@ -269,6 +283,26 @@ def test_json_text_is_json_dumps_of_to_json_obj():
     made = (DivisibilityRule(7, ()), DivisibilityRule(7, (3,)), DivisibilityRule(2, (1, 1)))
     for rule in [*map(generate_rule, [*range(2, 101), 593, 599, 1409]), *made]:
         assert render_rule(rule, "json") == json.dumps(rule.to_json_obj())
+
+
+def test_rule_text_past_the_int_text_limit_reads_the_same_under_any_limit():
+    # a modulus and coefficients past CPython's default of 4,300 digits.  The
+    # rule for 1700! itself lists 1,444,150 pairs, and its JSON would take
+    # about 4 GB, as each pair repeats its column's coefficient: so this
+    # rule is made by hand
+    a, b = factorial(1699), factorial(1698)
+    rule = DivisibilityRule(factorial(1700), (1, 1, 2, -a, b))
+    texts = []
+    for limit in (4300, 0):
+        with int_text_limit(limit):
+            texts.append([render_rule(rule, fmt) for fmt in _FORMATS])
+    assert texts[0] == texts[1]
+    with int_text_limit(0):
+        assert texts[1][0] == (
+            f"inv(0,1) + 2(inv(0,2) + inv(1,2)) - {a}(inv(0,3) + inv(1,3) + inv(2,3))"
+            f" + {b}(inv(0,4) + inv(1,4) + inv(2,4) + inv(3,4))"
+        )
+        assert texts[1][2] == json.dumps(rule.to_json_obj())
 
 
 @pytest.mark.parametrize("k", [599, 1409])
