@@ -90,17 +90,13 @@ _LEAF = 64
 # Divisions whose quotient has at most this many bits go to the builtin
 # ``divmod``; larger ones recurse.  2n-bit by n-bit: builtin 7.8 us and one
 # level of recursion 8.5 us at n = 2,000; 11.6 vs 11.5 at 2,500; 16.5 vs 15.2
-# at 3,000.  (CPython 3.13: the tie is at 3,000.)  Decimal text splits at
-# the same number: a value of at most this many bits goes to the builtin
-# str, and text of at most this many digits to the builtin int.  Text needs
-# no constant of its own: the builtin int parses up to about 4,000 digits as
-# fast as a split does, so this many digits is in its flat range (us per
-# parse, CPython 3.11.7, text split above 750 digits against above 2,500:
-# 15.7 vs 7.6 at 10^3 digits, 43.8 vs 25.9 at 2*10^3, 179 vs 166 at
-# 5*10^3).  Printing ends only if a one-digit value, up to 4 bits, is a base
-# case, so this must be at least 4.
-# CHANGES.md has the sweeps of both base cases on four interpreters.
+# at 3,000.  (CPython 3.13: the tie is at 3,000.)
+# CHANGES.md has the sweeps on four interpreters.
 _DIV_CUTOFF = 2500
+# Decimal text of at most this many digits goes to the builtin int and str;
+# longer text splits at powers of ten.  No crossover: the least int text limit
+# CPython allows (sys.int_info.str_digits_check_threshold), so none refuses it.
+_TEXT_DIGITS = 640
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +631,13 @@ def format_permutation(entries: Sequence[int]) -> str:
 def _parse_decimal(text: str) -> int:
     """``int(text)`` at any length, whatever CPython's int text limit.
 
-    Text of more than ``_DIV_CUTOFF`` characters in ``int``'s grammar (blanks,
+    Text of more than ``_TEXT_DIGITS`` characters in ``int``'s grammar (blanks,
     one sign, Unicode decimals, single underscores between them) has its
     digits split at powers of ten, the halves parsed apart and joined by one
     multiplication, subquadratic where the builtin is not (CPython up to
     3.11).  Other text goes to ``int``, errors and all.
     """
-    if len(text) <= _DIV_CUTOFF:
+    if len(text) <= _TEXT_DIGITS:
         return int(text)
     body = text.strip()
     unsigned = body[1:] if body[:1] in ("+", "-") else body
@@ -654,18 +650,23 @@ def _parse_decimal(text: str) -> int:
 
 
 def _parse_digits(text: str, lo: int, hi: int, pow10: dict) -> int:
-    if hi - lo <= _DIV_CUTOFF:
+    if hi - lo <= _TEXT_DIGITS:
         return int(text[lo:hi])
     k = (hi - lo) // 2  # digits in the low half
     high = _parse_digits(text, lo, hi - k, pow10)
     return high * _pow10(k, pow10) + _parse_digits(text, hi - k, hi, pow10)
 
 
+def _short(n: int) -> bool:
+    """Whether ``str`` prints the int n under any int text limit: n has at
+    most _TEXT_DIGITS digits if its bits times 0.30103 (> log10 2) are fewer."""
+    return n.bit_length() * 30103 < _TEXT_DIGITS * 100000
+
+
 def _format_decimal(n: int) -> str:
-    """``str(n)`` for n >= 0, with an n of more than ``_DIV_CUTOFF`` bits
-    split at powers of ten by :func:`_divmod`, the halves printed apart and
-    zero-padded."""
-    if n.bit_length() <= _DIV_CUTOFF:
+    """``str(n)`` for n >= 0, with an n that is not :func:`_short` split at
+    powers of ten by :func:`_divmod`, the halves printed apart and zero-padded."""
+    if n.bit_length() * 30103 < _TEXT_DIGITS * 100000:  # _short(n); its call costs 3% at 300 digits
         return str(n)
     out: list[str] = []
     _format_digits(n, int(n.bit_length() * log10(2)) + 1, {}, out)  # n's digits, or one more
@@ -674,7 +675,7 @@ def _format_decimal(n: int) -> str:
 
 def _format_digits(n: int, width: int, pow10: dict, out: list) -> None:
     """Append n < 10**width to out as width digits, zero-padded."""
-    if n.bit_length() <= _DIV_CUTOFF:
+    if width <= _TEXT_DIGITS:
         out.append(str(n).zfill(width))
         return
     k = width // 2  # digits in the low half

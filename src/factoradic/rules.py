@@ -145,9 +145,8 @@ def _render_terms(
     join over its rows, ``tail.join(h_lo .. h_hi-1) + tail``.
     """
     _check_listing(rule)
-    # no coefficient is longer than the modulus; past _DIV_CUTOFF bits they
-    # print by core._text, as str may meet CPython's limit on int text
-    big = rule.modulus.bit_length() > core._DIV_CUTOFF
+    # no coefficient is longer than the modulus, so all print by str if it is short
+    big = not core._short(rule.modulus)
     columns: dict[int, list[int]] = {}
     for j, c in enumerate(rule.coefficients):
         columns.setdefault(c, []).append(j)
@@ -186,7 +185,7 @@ def _render_json(rule: DivisibilityRule) -> str:
     """
     _check_listing(rule)
     k, coefficients = rule.modulus, rule.coefficients
-    if k.bit_length() > core._DIV_CUTOFF:  # as in _render_terms
+    if not core._short(k):  # as in _render_terms
         k, coefficients = core._text(k), tuple(map(core._text, coefficients))
     heads = ['{"i": %d, "j": ' % i for i in range(rule.effective_length)]
     columns = []

@@ -5,24 +5,28 @@ value, or the exception's type and message.  The SHA-256 of those lines is
 printed.  Two checkouts, or two interpreters, that print the same digest
 answered every call alike, so a refactor can show that it kept behaviour:
 
-    python tests/parity.py             # the digest
-    python tests/parity.py --verbose   # one line per call, then the digest
+    python tests/parity.py                  # the digest
+    python tests/parity.py --verbose        # one line per call, then the digest
+    python tests/parity.py --int-limit 640  # each call under that int text limit
 
 It imports the package from the ``src`` next to this file.  To find a
 mismatch, ``python tools/parity_diff.py BASE`` runs this table on a commit
 and on the working tree, and lists the calls whose outcomes differ.  It
-needs only the standard library, and runs with CPython's limit on int text
-lifted, so that a label can print its row's integers.
+needs only the standard library, and makes every label and outcome with
+CPython's limit on int text lifted, so that a label can print its row's
+integers.  The calls run under the limit ``--int-limit`` names, none by
+default; at 640, the least CPython allows, the digest is the same.
 
 The table covers every public function and subcommand, the error rows of
-the tests, the codec around factorials, the residues, the rules, and the
-decimal text split around its base case; and, under ``MAX_PREFIX_LENGTH``
-patched to 1, 2, 5 and 200, the entry points that read the cap, on both
-the integer and the sequence side.
+the tests (``tests/error_rows.py``), the codec around factorials, the
+residues, the rules, and the decimal text split from 1 to 3·10^4 digits; and,
+under ``MAX_PREFIX_LENGTH`` patched to 1, 2, 5 and 200, the entry points
+that read the cap, on both the integer and the sequence side.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -38,8 +42,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import factoradic as fc
 from factoradic import cli, core, reference
 
-BIG = 10**5000
-BIG_RULE = fc.generate_rule(factorial(1700))  # a modulus past the limit, 1,700 columns
+from error_rows import bad_inputs
 
 
 def _show(value) -> str:
@@ -72,105 +75,10 @@ def _inversions(prefix):
 # ---------------------------------------------------------------------------
 # the table: (call, args) rows, run with the default cap
 
-# the error rows of tests/test_core.py, in its order (tests/test_parity.py
-# checks that none is missing)
-BAD_ROWS = [
-    (fc.decode, ((1, 2),)),
-    (fc.decode, ((0, 0),)),
-    (fc.decode, ((),)),
-    (fc.decode, ((-1, 0),)),
-    (fc.decode, ((2, 0, 1, 3, 3),)),
-    (fc.decode, ((0.5, 1),)),
-    (fc.decode, (5,)),
-    (fc.permutation_from_digits, ((0, 2),)),
-    (fc.permutation_from_digits, ((),)),
-    (fc.permutation_from_digits, ((0, 1, -1, 5),)),
-    (fc.permutation_from_digits, ((0, 1, 2, 4, 9),)),
-    (fc.permutation_from_digits, ((0, "1"),)),
-    (fc.integer_from_digits, ((),)),
-    (fc.integer_from_digits, ((1,),)),
-    (fc.integer_from_digits, ((0, -1),)),
-    (fc.integer_from_digits, ((0, 1, 3, 1),)),
-    (fc.integer_from_digits, ((0, 1.0),)),
-    (fc.digits_from_permutation, ((),)),
-    (fc.digits_from_permutation, ((5, 5),)),
-    (fc.digits_from_permutation, ((-2, 0),)),
-    (fc.digits_from_permutation, ((-2, -2),)),
-    (fc.digits_from_permutation, ((3, None),)),
-    (fc.residue_from_prefix, ((1, 0), 3)),
-    (fc.residue_from_prefix, ((1, 1, 0), 3)),
-    (fc.residue_from_prefix, ((1, -1, 0), 3)),
-    (fc.residue_from_prefix, ((4, 2, 0), 0)),
-    (fc.residue_from_prefix, ((), 1)),
-    (fc.inversion_set, ((),)),
-    (fc.inversion_set, ((7, 3, 7),)),
-    (fc.inversion_set, ((7, -3),)),
-    (fc.inversion_set, ((7, 2.5),)),
-    (fc.residue_from_prefix, ((1, 0, 2.0, 3), 4)),
-    (fc.residue_from_prefix, ((1, 0, 2, "3"), 4)),
-    (fc.residue_from_prefix, ((1, 0, True, 3), 4)),
-    (fc.residue_from_prefix, ((2, 0, 1, 3, 3, 5), 6)),
-    (fc.residue_from_prefix, ((2, 0, 2, 3), 4)),
-    (fc.residue_from_prefix, ((1, -1, 2, 3), 4)),
-    (fc.residue_from_prefix, (iter((1.5, "x")), 3)),
-    (fc.evaluate_rule, (fc.generate_rule(4), (1, 0, 2.0, 3))),
-    (fc.evaluate_rule, (fc.generate_rule(4), [1, 0, 2, "3"])),
-    (fc.evaluate_rule, (fc.generate_rule(4), (1, 0, True, 3))),
-    (fc.evaluate_rule, (fc.generate_rule(7), (2, 0, 1, 3, 3, 5, 6))),
-    (fc.evaluate_rule, (fc.generate_rule(4), (1, 3, 0, 3))),
-    (fc.evaluate_rule, (fc.generate_rule(4), (1, -1, 2, 3))),
-    (fc.evaluate_rule, (fc.generate_rule(4), iter((1.5, "x")))),
-    (fc.evaluate_rule, (fc.DivisibilityRule(5, ()), (1, 2))),
-    (fc.digits_from_permutation, ((1, 0, 2.0, 3),)),
-    (fc.digits_from_permutation, ([2, 0, 1, 3, 3, 5],)),
-    (fc.digits_from_permutation, ((2, 0, 2, 3),)),
-    (fc.inversion_set, ((1, -1, 2, 3),)),
-    (fc.inversion_set, ((1, 0, True, 3),)),
-    (fc.decode, ((1, 0, 2.0, 3),)),
-    (fc.decode, ((1, 0, 2, 3, 3, 5),)),
-    (fc.decode, ((1, 0, True, 3),)),
-    (fc.decode, ((2, 0, 2, 3),)),
-    (fc.decode, ((0, 3, 2, 3, 4),)),
-    (fc.minimal_form, ([1, 0, 2, "3"],)),
-    (fc.minimal_form, ((1, 0, True, 3),)),
-    (fc.minimal_form, ((2, 0, 2, 3),)),
-    (fc.compare_factoradic, ((0, 1), (1, 0, 2.5))),
-    (fc.compare_factoradic, ((1, 0, 2, 3, 3, 5), (0,))),
-    (fc.compare_factoradic, ((0,), (2, 0, 2, 3))),
-    (fc.integer_from_digits, ((0, 1, 0, 4, 0, 0),)),
-    (fc.integer_from_digits, ([0, 1, 0, 0, 0, 0.0],)),
-    (fc.integer_from_digits, ((0, True, 0, 0, 9),)),
-    (fc.permutation_from_digits, ((0, 0, 0, -1, 0, 0),)),
-    (fc.permutation_from_digits, ([0, 1, 0, 0, "0"],)),
-    (fc.permutation_from_digits, ((0, 0, 3, 0),)),
-    # integers past CPython's default limit on int text
-    (fc.inversion_set, ((BIG, BIG),)),
-    (fc.decode, ((BIG, 0),)),
-    (fc.integer_from_digits, ((0, BIG),)),
-    (fc.encode, (BIG, 3)),
-    (fc.residue, (5, -BIG)),
-    (fc.generate_rule, (-BIG,)),
-    (fc.prefix_inversions, (5, -BIG)),
-    (fc.residue, (-BIG, 3)),
-    (fc.encode, (-BIG,)),
-    (fc.residue_from_prefix, ((0, 1, 2), BIG)),
-    (fc.divisible, ((1, 0), BIG)),
-    (fc.render_rule, (BIG_RULE,)),
-    (fc.DivisibilityRule.terms.fget, (BIG_RULE,)),
-    (reference.nth_permutation_bruteforce, (BIG, 3)),
-    (fc.parse_permutation, ("(-1" + "0" * 5000 + ")",)),
-    (reference.mod_direct, (5, -BIG)),
-    (fc.inversion_set((1, 0)).inv, (0, BIG)),
-    (fc.kempner, (-BIG,)),
-    (fc.residue_from_prefix, ((0,), -BIG)),
-    (fc.rule_table, (-BIG,)),
-    (fc.encode, (5, -BIG)),
-]
-
-
 def _rows() -> list:
     rng = random.Random(16)
-    rows = list(BAD_ROWS)
+    # the error rows of the tests, in their order, built anew with unread iterators
+    rows = [row[:2] for row in bad_inputs()]
     # every public function on the golden width-4 writings
     for n in range(25):
         p = fc.encode(n, 4) if n < 24 else (0,)
@@ -236,7 +144,8 @@ def _rows() -> list:
     for text in ("(2, 3, 0, 1)", "2,3,0,1", "2 3 0 1", "", "()", "(1, x)", "(-1, 0)", "1.5 2",
                  "(1, " + "1" * 5000 + ")", "(1, -" + "1" * 5000 + ")", "١٢ 3", "+1 2"):
         rows += [(fc.parse_permutation, (text,))]
-    # decimal text around the base case and its doublings
+    # decimal text at lengths from 1 to 3*10^4 digits (tests/test_core.py
+    # straddles the base case and its doublings)
     for w in (1, 2, 749, 750, 751, 999, 1000, 1001, 1999, 2000, 2001, 2499, 2500, 2501,
               2999, 3000, 3001, 4999, 5000, 5001, 10**4, 3 * 10**4):
         text = rng.choice("123456789") + "".join(rng.choices("0123456789", k=w - 1))
@@ -299,31 +208,36 @@ def _capped_rows(cap: int) -> list:
     return rows
 
 
-def outcomes():
+def outcomes(int_limit: int = 0):
     """``(label, outcome)`` per call: the default cap first, then each
-    patched one.  CPython's int text limit is lifted meanwhile."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    patched one.  Each call runs under CPython's int text limit ``int_limit``
+    (0: none), and its label and outcome are made with the limit lifted."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_limit = sys.set_int_max_str_digits if saved is not None else lambda digits: None
+    set_limit(0)
     try:
         for cap in (None, 1, 2, 5, 200):
             rows = _rows() if cap is None else _capped_rows(cap)
             with patch.object(core, "MAX_PREFIX_LENGTH", cap) if cap else contextlib.nullcontext():
                 for call, args in rows:
                     try:
-                        got = _show(call(*args))
+                        set_limit(int_limit)
+                        try:
+                            value = call(*args)
+                        finally:
+                            set_limit(0)
+                        got = _show(value)
                     except Exception as exc:  # every outcome is recorded
                         got = f"{type(exc).__name__}: {exc}"
                     yield f"{f'cap={cap} ' if cap else ''}{_label(call, args)}", got
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        set_limit(saved)
 
 
-def digest(verbose: bool = False) -> str:
+def digest(verbose: bool = False, int_limit: int = 0) -> str:
     """The SHA-256 of one line per call, ``label -> outcome``."""
     h = hashlib.sha256()
-    for label, got in outcomes():
+    for label, got in outcomes(int_limit):
         line = f"{label} -> {got}"
         h.update(line.encode() + b"\n")
         if verbose:  # the line's own hash, then the line, cut if long
@@ -333,4 +247,9 @@ def digest(verbose: bool = False) -> str:
 
 
 if __name__ == "__main__":
-    print(digest(verbose="--verbose" in sys.argv[1:]))
+    parser = argparse.ArgumentParser(description="Print the parity table's digest.")
+    parser.add_argument("--verbose", action="store_true", help="one line per call before the digest")
+    parser.add_argument("--int-limit", type=int, default=0, metavar="N",
+                        help="run each call under CPython's int text limit N (default 0: none)")
+    args = parser.parse_args()
+    print(digest(args.verbose, args.int_limit))

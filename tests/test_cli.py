@@ -347,9 +347,12 @@ sys.exit(cli.main(["decode", "-"]))
 
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
 def test_sigint_while_decode_waits_on_stdin_gives_one_line():
+    # the child starts with SIGINT at its default action, which Python then
+    # handles, even where this process ignores it (a background job)
     proc = subprocess.Popen(
         [sys.executable, "-c", _DECODE_WITH_MARKER],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         assert proc.stdout.readline() == "reading\n"
@@ -512,6 +515,29 @@ JSON_INTEGERS = {
 
 
 _BIG_MODULI = (_n_of_length(2001), _n_of_length(5001))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
+@pytest.mark.parametrize("digits", [700, 1000])
+def test_processes_under_the_least_int_text_limit_read_and_print_n(digits):
+    # python -m factoradic started under 640 digits, the least limit CPython
+    # allows: n past it pipes through encode | decode, digits and mod json
+    # as it does with no limit
+    def factoradic(*argv, stdin=None):
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+        done = subprocess.run([sys.executable, "-m", "factoradic", *argv], input=stdin, env=env,
+                              capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    n = _n_of_length(digits)
+    with int_text_limit(0):  # the test's own text of n
+        text = str(n)
+        perm = format_permutation(encode(n))
+        mod_json = json.dumps({"n": n, "k": 1000000007, "residue": n % 1000000007})
+    assert factoradic("encode", text) == (0, f"{perm}\n", "")
+    assert factoradic("decode", "-", stdin=f"{perm}\n") == (0, f"{text}\n", "")
+    assert factoradic("digits", text) == (0, f"{format_permutation(digits_from_integer(n))}\n", "")
+    assert factoradic("mod", text, "1000000007", "--format", "json") == (0, f"{mod_json}\n", "")
 
 
 @pytest.mark.parametrize("n", JSON_INTEGERS.values(), ids=JSON_INTEGERS.keys())

@@ -3,11 +3,13 @@
 import pathlib
 import sys
 
+import pytest
+
 import factoradic
 import factoradic.cli as cli
 
 import parity
-from test_core import BAD_INPUTS, int_text_limit
+from error_rows import bad_inputs, int_text_limit
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
 import parity_diff
@@ -23,10 +25,16 @@ def test_the_parity_digest_is_the_pinned_one():
     assert parity.digest() == PINNED
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
+def test_the_parity_digest_is_the_pinned_one_under_the_least_int_text_limit():
+    # every call under the least limit CPython allows answers as under none
+    assert parity.digest(int_limit=640) == PINNED
+
+
 def test_the_table_holds_every_error_row_of_the_tests():
     with int_text_limit(0):  # labels print the rows' integers
-        table = {parity._label(call, args) for call, args in parity.BAD_ROWS}
-        rows = [parity._label(*getattr(row, "values", row)[:2]) for row in BAD_INPUTS]
+        table = {parity._label(call, args) for call, args in parity._rows()}
+        rows = [parity._label(*row[:2]) for row in bad_inputs()]
     assert [label for label in rows if label not in table] == []
 
 

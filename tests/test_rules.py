@@ -289,20 +289,27 @@ def test_rule_text_past_the_int_text_limit_reads_the_same_under_any_limit():
     # a modulus and coefficients past CPython's default of 4,300 digits.  The
     # rule for 1700! itself lists 1,444,150 pairs, and its JSON would take
     # about 4 GB, as each pair repeats its column's coefficient: so this
-    # rule is made by hand
+    # rule is made by hand.  A modulus of 701 digits is past the least limit
+    # CPython allows, 640
     a, b = factorial(1699), factorial(1698)
     rule = DivisibilityRule(factorial(1700), (1, 1, 2, -a, b))
+    short = DivisibilityRule(10**700 + 1, (1, 1, 2, -(10**699 + 3), 10**650))
     texts = []
-    for limit in (4300, 0):
+    for limit in (640, 4300, 0):
         with int_text_limit(limit):
-            texts.append([render_rule(rule, fmt) for fmt in _FORMATS])
-    assert texts[0] == texts[1]
+            texts.append([render_rule(r, fmt) for r in (rule, short) for fmt in _FORMATS])
+    assert texts[0] == texts[1] == texts[2]
     with int_text_limit(0):
+        assert texts[2][3] == (
+            f"inv(0,1) + 2(inv(0,2) + inv(1,2)) - {10**699 + 3}(inv(0,3) + inv(1,3) + inv(2,3))"
+            f" + {10**650}(inv(0,4) + inv(1,4) + inv(2,4) + inv(3,4))"
+        )
+        assert texts[2][5] == json.dumps(short.to_json_obj())
         assert texts[1][0] == (
             f"inv(0,1) + 2(inv(0,2) + inv(1,2)) - {a}(inv(0,3) + inv(1,3) + inv(2,3))"
             f" + {b}(inv(0,4) + inv(1,4) + inv(2,4) + inv(3,4))"
         )
-        assert texts[1][2] == json.dumps(rule.to_json_obj())
+        assert texts[2][2] == json.dumps(rule.to_json_obj())
 
 
 @pytest.mark.parametrize("k", [599, 1409])

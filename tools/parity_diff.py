@@ -3,13 +3,14 @@
     python tools/parity_diff.py BASE
 
 ``BASE`` (any commit name git reads) is extracted with ``git archive`` into a
-temporary directory, and the working tree's ``tests/parity.py`` is copied
-over its own, so both sides run the same table.  Each side runs the table in
-its own interpreter, on its own ``src``.  The script prints one line per call
-whose outcome differs, ``label: old -> new``, with ``(none)`` for the side
-that lacks the call (a row added to or removed from the table), and then
-both digests.  A long label or outcome is cut, with its length and a hash of
-the whole, so that two cut texts compare equal exactly when the texts do.
+temporary directory, and the working tree's ``tests/parity.py`` and the
+``tests/error_rows.py`` it imports are copied over its own, so both sides
+run the same table.  Each side runs the table in its own interpreter, on its
+own ``src``.  The script prints one line per call whose outcome differs,
+``label: old -> new``, with ``(none)`` for the side that lacks the call (a
+row added to or removed from the table), and then both digests.  A long
+label or outcome is cut, with its length and a hash of the whole, so that
+two cut texts compare equal exactly when the texts do.
 
 It exits 1 if any outcome differs.  Standard library only.
 """
@@ -104,7 +105,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="parity-diff-") as tmp:
         tree = pathlib.Path(tmp)
         extract(argv[0], tree)
-        shutil.copy(ROOT / "tests" / "parity.py", tree / "tests" / "parity.py")
+        for name in ("parity.py", "error_rows.py"):
+            shutil.copy(ROOT / "tests" / name, tree / "tests" / name)
         old, old_digest = run_table(tree)
     new, new_digest = run_table(ROOT)
     diffs = pair(old, new)
