@@ -45,7 +45,9 @@ from .errors import (
 #: ``factoradic.MAX_PREFIX_LENGTH = 3``, ``encode(10**10)`` still returns 14 entries.
 MAX_PREFIX_LENGTH = 10**6
 
-# The four crossovers below are timeit minima on CPython 3.11.7 (2 vCPU x86-64).
+# Each threshold below picks a speed, never an answer: test_parity.py's
+# test_no_size_threshold_changes_an_outcome pins the parity digest with all five
+# low and all high.  The crossovers are timeit minima, CPython 3.11.7, 2 vCPU x86-64.
 #
 # Permutations of up to this many entries take the one-list kernels; longer
 # ones cut the pool into blocks of this many values.  _permutation plus
@@ -90,8 +92,7 @@ _LEAF = 64
 # Divisions whose quotient has at most this many bits go to the builtin
 # ``divmod``; larger ones recurse.  2n-bit by n-bit: builtin 7.8 us and one
 # level of recursion 8.5 us at n = 2,000; 11.6 vs 11.5 at 2,500; 16.5 vs 15.2
-# at 3,000.  (CPython 3.13: the tie is at 3,000.)
-# CHANGES.md has the sweeps on four interpreters.
+# at 3,000 (CPython 3.13: the tie is at 3,000; CHANGES.md has four sweeps).
 _DIV_CUTOFF = 2500
 # Decimal text of at most this many digits goes to the builtin int and str;
 # longer text splits at powers of ten.  No crossover: the least int text limit
@@ -378,22 +379,21 @@ def _words(values: Sequence[int]) -> MutableSequence[int]:
 
 
 def _digits(n: int, s: int | None = None) -> Sequence[int]:
-    """Digits of n, shortest form (length >= 1); s, if given, is their
-    number, as :func:`_length` finds it.  Up to _BIG_BITS bits a divmod loop
-    finds them and checks no cap; above, s is checked against the cap and the
-    product tree writes them, more than _BIG_PERM as words (:func:`_words`)."""
+    """Digits of n (length >= 1): up to _BIG_BITS bits the shortest form, by a
+    divmod loop; above, s digits by the product tree, past _BIG_PERM as words.
+    A given s is at least n's length (zeros pad it) and the caller's to check
+    against the cap; else the tree finds it by :func:`_length` and checks it."""
     if n.bit_length() <= _BIG_BITS:
         out = [0]
-        q = n
         d = 2
-        while q:
-            q, r = divmod(q, d)
+        while n:
+            n, r = divmod(n, d)
             out.append(r)
             d += 1
         return out
     if s is None:
         s = _length(n)
-    _check_cap(s)
+        _check_cap(s)
     out = [0] * s if s <= _BIG_PERM else _words((0,)) * s
     _extract(n, 0, _root(s), out)
     return out

@@ -88,17 +88,17 @@ def residue(n: int, k: int) -> int:
     """n mod k as the weighted sum of n's own factorial-base digits.
 
     Digit j is column j's inversion count, weighted by j! mod k; only the
-    first S(k) digits count, so neither k entries nor k! are ever built.
-    Past S(k) digits (:func:`core._length`), n is cut to n mod S(k)! by
-    :func:`core._divmod`, not by ``%``, quadratic up to CPython 3.11 (10^5
-    digits, k = 65521: 1.2 s with it, 0.4-0.6 s now).  Agrees with ``n % k``.
+    first S(k) digits count, so neither k entries nor k! are built, and no
+    length cap refuses an n.  Past S(k) digits (:func:`core._length`), n is
+    cut to n mod S(k)! by :func:`core._divmod`, not by ``%``, quadratic up to
+    CPython 3.11 (10^5 digits, k = 65521: 1.2 s with it, 0.4-0.6 s now).
     """
     n = _check_count(n)
     k = _at_least(k, 1, ModulusZero, "modulus")
     s = _length(n)
     weights = list(islice(_factorials_mod(k), s))
-    if len(weights) < s:  # S(k) comes before n's last digit: n's length changes
-        n, s = _divmod(n, factorial(len(weights)))[1], None
+    if len(weights) < s:  # S(k) comes before n's last digit: cut n below S(k)!
+        n, s = _divmod(n, factorial(len(weights)))[1], len(weights)
     return _weighted_sum(_digits(n, s), weights, k)
 
 
@@ -112,8 +112,8 @@ def prefix_inversions(n: int, s: int) -> InversionSet:
     s = _at_least(s, 1, PrefixTooShort, "prefix length")
     _check_cap(s)
     need = _length(n)
-    if need > s:  # n reaches s!: its length changes
-        n, need = _divmod(n, factorial(s))[1], None
+    if need > s:  # n reaches s!: cut it below s!
+        n, need = _divmod(n, factorial(s))[1], s
     return InversionSet._of_permutation(_permutation(_digits(n, need), s))
 
 

@@ -64,7 +64,7 @@ class DivisibilityRule:
         return hash((self.modulus, self.coefficients))
 
     def __repr__(self):
-        return f"DivisibilityRule(modulus={self.modulus!r}, coefficients={self.coefficients!r})"
+        return f"DivisibilityRule(modulus={core._text(self.modulus)}, coefficients={core._text(self.coefficients)})"
 
     @property
     def effective_length(self) -> int:

@@ -133,6 +133,7 @@ def _rows() -> list:
     rows += [(fc.render_rule, (fc.generate_rule(1423), fmt)) for fmt in ("plain", "json", "xml")]
     rows += [(fc.rule_table, (k, primes)) for k in (2, 30, 60) for primes in (False, True)]
     rows += [(fc.rule_table, (k,)) for k in (1, 0, "5", 2.5, None)]
+    rows += [(repr, (fc.DivisibilityRule(10**700, (1, 1)),))]  # a modulus past the least int text limit
     # inversion sets of random, sorted and reversed prefixes, and inv's range
     for s in (1, 2, 5, 40, 200):
         shuffled = rng.sample(range(3 * s), s)
@@ -234,16 +235,28 @@ def outcomes(int_limit: int = 0):
         set_limit(saved)
 
 
-def digest(verbose: bool = False, int_limit: int = 0) -> str:
-    """The SHA-256 of one line per call, ``label -> outcome``."""
+def hashed(records, each=None) -> str:
+    """The SHA-256 of one line per ``(label, outcome)`` record, ``label ->
+    outcome``; each record and its line go to ``each(label, got, line)``, if
+    given, as they are hashed.  ``tools/parity_diff.py`` hashes with it too."""
     h = hashlib.sha256()
-    for label, got in outcomes(int_limit):
+    for label, got in records:
         line = f"{label} -> {got}"
         h.update(line.encode() + b"\n")
-        if verbose:  # the line's own hash, then the line, cut if long
-            short = line if len(line) <= 160 else f"{line[:150]}... [{len(line)} chars]"
-            print(hashlib.sha256(line.encode()).hexdigest()[:12], short)
+        if each:
+            each(label, got, line)
     return h.hexdigest()
+
+
+def _print_line(label, got, line) -> None:
+    """The line's own hash, then the line, cut if long."""
+    short = line if len(line) <= 160 else f"{line[:150]}... [{len(line)} chars]"
+    print(hashlib.sha256(line.encode()).hexdigest()[:12], short)
+
+
+def digest(verbose: bool = False, int_limit: int = 0) -> str:
+    """The SHA-256 of the table's lines (:func:`hashed`), each printed if verbose."""
+    return hashed(outcomes(int_limit), _print_line if verbose else None)
 
 
 if __name__ == "__main__":

@@ -298,13 +298,17 @@ def test_residue_finds_the_length_of_n_once(monkeypatch):
     assert lengths == [True]
 
 
-def test_residue_checks_the_cap_only_on_the_tree_path(monkeypatch):
-    # the divmod loop checks no cap; the tree checks the length n needs
-    monkeypatch.setattr(core, "MAX_PREFIX_LENGTH", 1)
-    assert residue(1, 7) == 1
-    monkeypatch.setattr(core, "MAX_PREFIX_LENGTH", 200)
-    with pytest.raises(RangeTooLarge, match="^prefix length 202 exceeds MAX_PREFIX_LENGTH=200$"):
-        residue(factorial(201), 211)
+@pytest.mark.parametrize("big_bits", [None, 0, 10**9])
+def test_residue_answers_under_any_cap_on_either_side_of_big_bits(monkeypatch, big_bits):
+    # an integer in and out: the cap never refuses residue, and _BIG_BITS
+    # only picks the divmod loop or the tree, for n below and past the cap
+    if big_bits is not None:
+        monkeypatch.setattr(core, "_BIG_BITS", big_bits)
+    for cap in (1, 200):
+        monkeypatch.setattr(core, "MAX_PREFIX_LENGTH", cap)
+        for n in (1, 2, factorial(201), factorial(202) + 1):
+            for k in (7, 211, 65521):
+                assert residue(n, k) == n % k
 
 
 def test_padded_writing_counts_only_its_moved_columns(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 import factoradic
 import factoradic.cli as cli
+import factoradic.core as core
 
 import parity
 from error_rows import bad_inputs, int_text_limit
@@ -18,7 +19,7 @@ import parity_diff
 # outcome in it updates this value, and says in CHANGES.md which lines moved
 # (``python tools/parity_diff.py BASE`` lists them) and why.  It is the same on
 # CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
-PINNED = "f0774e6a322f5fead7a5327486806b36b5bdea4e9b7ee76946d8bf712cc4a3c1"
+PINNED = "d8e918a35d0db58eb751008d2d4b6bff882ed475e83e3fff25eb383d6aff1df9"
 
 
 def test_the_parity_digest_is_the_pinned_one():
@@ -29,6 +30,20 @@ def test_the_parity_digest_is_the_pinned_one():
 def test_the_parity_digest_is_the_pinned_one_under_the_least_int_text_limit():
     # every call under the least limit CPython allows answers as under none
     assert parity.digest(int_limit=640) == PINNED
+
+
+@pytest.mark.parametrize("thresholds", [
+    {"_BIG_BITS": 0, "_BIG_PERM": 64, "_LEAF": 2, "_DIV_CUTOFF": 64, "_TEXT_DIGITS": 3},
+    # _TEXT_DIGITS may not exceed CPython's least int text limit, 640
+    {"_BIG_BITS": 10**9, "_BIG_PERM": 10**9, "_LEAF": 1024, "_DIV_CUTOFF": 10**9, "_TEXT_DIGITS": 640},
+], ids=["low", "high"])
+def test_no_size_threshold_changes_an_outcome(monkeypatch, thresholds):
+    # each threshold picks a speed, never an answer; the weights of another
+    # tree are right but go to a memo of their own, dropped afterwards
+    for name, value in thresholds.items():
+        monkeypatch.setattr(core, name, value)
+    monkeypatch.setattr(core, "_WEIGHTS", {})
+    assert parity.digest() == PINNED
 
 
 def test_the_table_holds_every_error_row_of_the_tests():

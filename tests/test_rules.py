@@ -312,6 +312,18 @@ def test_rule_text_past_the_int_text_limit_reads_the_same_under_any_limit():
         assert texts[2][2] == json.dumps(rule.to_json_obj())
 
 
+def test_rule_repr_past_the_int_text_limit_reads_the_same_under_any_limit():
+    # repr prints its integers as it would under no limit: a modulus of 5,001
+    # digits past the default limit of 4,300, and one of 701 past the least, 640
+    rules = (DivisibilityRule(10**5000, (1, 1, 2, -(10**4999 + 1))), DivisibilityRule(10**700, (1, 1)))
+    with int_text_limit(0):
+        want = [f"DivisibilityRule(modulus={r.modulus}, coefficients={r.coefficients})" for r in rules]
+    for limit in (4300, 640):
+        with int_text_limit(limit):
+            got = list(map(repr, rules))
+        assert got == want
+
+
 @pytest.mark.parametrize("k", [599, 1409])
 def test_a_rendering_peaks_at_twice_its_text(k):
     # the rows and the one text they are joined into; one more copy of the

@@ -33,12 +33,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WIDTH = 120
 
 # run in a tree's root: its tests/parity.py, on its src, one JSON record a
-# line, then the digest
+# line, then the digest, hashed by parity.hashed as tests/parity.py hashes it
 _CHILD = """
 import sys
 sys.path[:0] = [sys.argv[1], "tests"]
 import parity, parity_diff
-parity_diff.emit(parity.outcomes())
+print(parity.hashed(parity.outcomes(), parity_diff.emit))
 """
 
 
@@ -50,14 +50,10 @@ def short(text: str, width: int = WIDTH) -> str:
     return f"{text[:width - 40]}... [{len(text)} chars, sha256 {digest}]"
 
 
-def emit(outcomes) -> None:
-    """Print each (label, outcome) shortened, as JSON, then the digest that
-    ``tests/parity.py`` prints, over the full lines."""
-    h = hashlib.sha256()
-    for label, got in outcomes:
-        h.update(f"{label} -> {got}\n".encode())
-        print(json.dumps([short(label), short(got)]))
-    print(h.hexdigest())
+def emit(label: str, got: str, line: str) -> None:
+    """Print a (label, outcome) record shortened, as JSON; ``parity.hashed``
+    hands it each record as it hashes the full line."""
+    print(json.dumps([short(label), short(got)]))
 
 
 def pair(old, new) -> list[tuple[str, str | None, str | None]]:
