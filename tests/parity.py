@@ -5,23 +5,22 @@ value, or the exception's type and message.  The SHA-256 of those lines is
 printed.  Two checkouts, or two interpreters, that print the same digest
 answered every call alike, so a refactor can show that it kept behaviour:
 
-    python tests/parity.py                  # the digest
-    python tests/parity.py --verbose        # one line per call, then the digest
-    python tests/parity.py --int-limit 640  # each call under that int text limit
+    python tests/parity.py             # the digest; exit 1 unless it is PINNED
+    python tests/parity.py --verbose   # one line per call, then the digest
 
 It imports the package from the ``src`` next to this file.  To find a
 mismatch, ``python tools/parity_diff.py BASE`` runs this table on a commit
 and on the working tree, and lists the calls whose outcomes differ.  It
-needs only the standard library, and makes every label and outcome with
-CPython's limit on int text lifted, so that a label can print its row's
-integers.  The calls run under the limit ``--int-limit`` names, none by
-default; at 640, the least CPython allows, the digest is the same.
+needs only the standard library.
 
 The table covers every public function and subcommand, the error rows of
 the tests (``tests/error_rows.py``), the codec around factorials, the
 residues, the rules, and the decimal text split from 1 to 3·10^4 digits; and,
 under ``MAX_PREFIX_LENGTH`` patched to 1, 2, 5 and 200, the entry points
-that read the cap, on both the integer and the sequence side.
+that read the cap, on both the integer and the sequence side.  All of it
+runs under each of ``LIMITS``, CPython's int text limit: none, then 640, the
+least CPython allows, where no answer may differ.  Labels and outcomes are
+made with the limit lifted, so that a label can print its row's integers.
 """
 
 from __future__ import annotations
@@ -42,7 +41,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import factoradic as fc
 from factoradic import cli, core, reference
 
-from error_rows import bad_inputs
+from error_rows import bad_inputs, int_text_limit
+
+# The table's digest, the same on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.  A
+# change that moves an outcome re-pins it, and says in CHANGES.md which lines
+# moved (``python tools/parity_diff.py BASE`` lists them) and why.
+PINNED = "d244f81bab2d6936477e5e68f81363db43d4e822a69242c65863a5a5b1f3bb25"
+LIMITS = (0, 640)  # CPython's int text limits the table runs under (0: none)
+WIDTH = 120
 
 
 def _show(value) -> str:
@@ -209,30 +215,24 @@ def _capped_rows(cap: int) -> list:
     return rows
 
 
-def outcomes(int_limit: int = 0):
-    """``(label, outcome)`` per call: the default cap first, then each
-    patched one.  Each call runs under CPython's int text limit ``int_limit``
-    (0: none), and its label and outcome are made with the limit lifted."""
-    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    set_limit = sys.set_int_max_str_digits if saved is not None else lambda digits: None
-    set_limit(0)
-    try:
-        for cap in (None, 1, 2, 5, 200):
-            rows = _rows() if cap is None else _capped_rows(cap)
-            with patch.object(core, "MAX_PREFIX_LENGTH", cap) if cap else contextlib.nullcontext():
-                for call, args in rows:
-                    try:
-                        set_limit(int_limit)
+def outcomes():
+    """``(label, outcome)`` per call: under each of ``LIMITS``, the default
+    cap first, then each patched one.  A call runs under its limit; its label
+    and outcome are made with the limit lifted."""
+    with int_text_limit(0):
+        for limit in LIMITS:
+            for cap in (None, 1, 2, 5, 200):
+                rows = _rows() if cap is None else _capped_rows(cap)
+                prefix = f"{f'limit={limit} ' if limit else ''}{f'cap={cap} ' if cap else ''}"
+                with patch.object(core, "MAX_PREFIX_LENGTH", cap) if cap else contextlib.nullcontext():
+                    for call, args in rows:
                         try:
-                            value = call(*args)
-                        finally:
-                            set_limit(0)
-                        got = _show(value)
-                    except Exception as exc:  # every outcome is recorded
-                        got = f"{type(exc).__name__}: {exc}"
-                    yield f"{f'cap={cap} ' if cap else ''}{_label(call, args)}", got
-    finally:
-        set_limit(saved)
+                            with int_text_limit(limit):
+                                value = call(*args)
+                            got = _show(value)
+                        except Exception as exc:  # every outcome is recorded
+                            got = f"{type(exc).__name__}: {exc}"
+                        yield prefix + _label(call, args), got
 
 
 def hashed(records, each=None) -> str:
@@ -248,21 +248,27 @@ def hashed(records, each=None) -> str:
     return h.hexdigest()
 
 
-def _print_line(label, got, line) -> None:
-    """The line's own hash, then the line, cut if long."""
-    short = line if len(line) <= 160 else f"{line[:150]}... [{len(line)} chars]"
-    print(hashlib.sha256(line.encode()).hexdigest()[:12], short)
+def short(text: str, width: int = WIDTH) -> str:
+    """text, or its head with its length and a hash of the whole, so that two
+    cut texts compare equal exactly when the texts do."""
+    if len(text) <= width:
+        return text
+    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    return f"{text[:width - 40]}... [{len(text)} chars, sha256 {digest}]"
 
 
-def digest(verbose: bool = False, int_limit: int = 0) -> str:
-    """The SHA-256 of the table's lines (:func:`hashed`), each printed if verbose."""
-    return hashed(outcomes(int_limit), _print_line if verbose else None)
+def digest(verbose: bool = False) -> str:
+    """The SHA-256 of the table's lines (:func:`hashed`), each printed :func:`short` if verbose."""
+    return hashed(outcomes(), (lambda label, got, line: print(short(line))) if verbose else None)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Print the parity table's digest; exit 1 unless it is PINNED.")
+    parser.add_argument("--verbose", action="store_true", help="one line per call before the digest")
+    got = digest(parser.parse_args(argv).verbose)
+    print(got)
+    return 0 if got == PINNED else 1
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Print the parity table's digest.")
-    parser.add_argument("--verbose", action="store_true", help="one line per call before the digest")
-    parser.add_argument("--int-limit", type=int, default=0, metavar="N",
-                        help="run each call under CPython's int text limit N (default 0: none)")
-    args = parser.parse_args()
-    print(digest(args.verbose, args.int_limit))
+    sys.exit(main(sys.argv[1:]))

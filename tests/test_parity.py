@@ -15,21 +15,38 @@ from error_rows import bad_inputs, int_text_limit
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
 import parity_diff
 
-# The digest the table gave when it was written.  A change that alters any
-# outcome in it updates this value, and says in CHANGES.md which lines moved
-# (``python tools/parity_diff.py BASE`` lists them) and why.  It is the same on
-# CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
-PINNED = "d8e918a35d0db58eb751008d2d4b6bff882ed475e83e3fff25eb383d6aff1df9"
-
-
 def test_the_parity_digest_is_the_pinned_one():
-    assert parity.digest() == PINNED
+    # every call under no int text limit and under the least CPython allows
+    assert parity.digest() == parity.PINNED
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_the_parity_script_exits_1_unless_the_digest_is_pinned(monkeypatch, capsys, pinned):
+    got = parity.PINNED if pinned else "0" * 64
+    monkeypatch.setattr(parity, "digest", lambda verbose=False: got)
+    assert parity.main([]) == (0 if pinned else 1)
+    assert capsys.readouterr().out == f"{got}\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
 def test_the_parity_digest_is_the_pinned_one_under_the_least_int_text_limit():
-    # every call under the least limit CPython allows answers as under none
-    assert parity.digest(int_limit=640) == PINNED
+    # every call under the least limit CPython allows answers as under none:
+    # the limit=640 half hashes as the unlimited half with the prefix added
+    assert parity.LIMITS == (0, 640)
+    rows = list(parity.outcomes())
+    unlimited, least = rows[:len(rows) // 2], rows[len(rows) // 2:]
+    assert parity.hashed(least) == parity.hashed((f"limit=640 {label}", got) for label, got in unlimited)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
+def test_the_table_runs_each_call_under_each_int_text_limit(monkeypatch):
+    monkeypatch.setattr(parity, "_rows", lambda: [(str, (10**700,))])
+    monkeypatch.setattr(parity, "_capped_rows", lambda cap: [])
+    saved = sys.get_int_max_str_digits()
+    (label, got), (least_label, least_got) = parity.outcomes()
+    assert label.startswith("str(1000") and least_label == f"limit=640 {label}"
+    assert got == f"'1{'0' * 700}'" and least_got.startswith("ValueError: Exceeds the limit")
+    assert sys.get_int_max_str_digits() == saved
 
 
 @pytest.mark.parametrize("thresholds", [
@@ -43,7 +60,7 @@ def test_no_size_threshold_changes_an_outcome(monkeypatch, thresholds):
     for name, value in thresholds.items():
         monkeypatch.setattr(core, name, value)
     monkeypatch.setattr(core, "_WEIGHTS", {})
-    assert parity.digest() == PINNED
+    assert parity.digest() == parity.PINNED
 
 
 def test_the_table_holds_every_error_row_of_the_tests():
@@ -76,7 +93,8 @@ def test_parity_diff_pairs_calls_by_label_and_occurrence():
 
 
 def test_parity_diff_cuts_long_text_and_keeps_it_comparable():
-    assert parity_diff.short("x" * 120) == "x" * 120
-    a, b = parity_diff.short("x" * 200 + "a"), parity_diff.short("x" * 200 + "b")
-    assert a != b and len(a) <= parity_diff.WIDTH
+    # parity_diff.emit and --verbose cut with parity.short
+    assert parity.short("x" * 120) == "x" * 120
+    a, b = parity.short("x" * 200 + "a"), parity.short("x" * 200 + "b")
+    assert a != b and len(a) <= parity.WIDTH
     assert a.startswith("x" * 80) and "[201 chars, sha256 " in a

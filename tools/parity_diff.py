@@ -8,16 +8,17 @@ temporary directory, and the working tree's ``tests/parity.py`` and the
 run the same table.  Each side runs the table in its own interpreter, on its
 own ``src``.  The script prints one line per call whose outcome differs,
 ``label: old -> new``, with ``(none)`` for the side that lacks the call (a
-row added to or removed from the table), and then both digests.  A long
-label or outcome is cut, with its length and a hash of the whole, so that
-two cut texts compare equal exactly when the texts do.
+row added to or removed from the table), and then both digests.  A call
+whose outcome moves only under CPython's int text limit of 640 is listed
+with its label's ``limit=640 `` prefix.  A long label or outcome is cut by
+``parity.short``, with its length and a hash of the whole, so that two cut
+texts compare equal exactly when the texts do.
 
 It exits 1 if any outcome differs.  Standard library only.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -30,7 +31,8 @@ import tempfile
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-WIDTH = 120
+sys.path.insert(0, str(ROOT / "tests"))  # a child has imported its own tree's parity already
+from parity import short  # noqa: E402
 
 # run in a tree's root: its tests/parity.py, on its src, one JSON record a
 # line, then the digest, hashed by parity.hashed as tests/parity.py hashes it
@@ -40,14 +42,6 @@ sys.path[:0] = [sys.argv[1], "tests"]
 import parity, parity_diff
 print(parity.hashed(parity.outcomes(), parity_diff.emit))
 """
-
-
-def short(text: str, width: int = WIDTH) -> str:
-    """text, or its head with its length and a hash of the whole."""
-    if len(text) <= width:
-        return text
-    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-    return f"{text[:width - 40]}... [{len(text)} chars, sha256 {digest}]"
 
 
 def emit(label: str, got: str, line: str) -> None:
