@@ -666,7 +666,7 @@ def _short(n: int) -> bool:
 def _format_decimal(n: int) -> str:
     """``str(n)`` for n >= 0, with an n that is not :func:`_short` split at
     powers of ten by :func:`_divmod`, the halves printed apart and zero-padded."""
-    if n.bit_length() * 30103 < _TEXT_DIGITS * 100000:  # _short(n); its call costs 3% at 300 digits
+    if _short(n):
         return str(n)
     out: list[str] = []
     _format_digits(n, int(n.bit_length() * log10(2)) + 1, {}, out)  # n's digits, or one more

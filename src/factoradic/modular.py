@@ -70,7 +70,10 @@ def _prefix_sum(prefix: Iterable[int], need: int, weights: Iterable[int], k: int
 
 
 def kempner(k: int) -> int:
-    """Smallest j with k | j! (S(1) = 0, S(6) = 3, S(p) = p for prime p)."""
+    """Smallest j with k | j! (S(1) = 0, S(6) = 3, S(p) = p for prime p).
+
+    S(k) = k exactly for a prime k and 4, so ``table --primes`` keeps the k
+    with S(k) = k, k != 4."""
     return sum(1 for _ in _factorials_mod(_at_least(k, 1, ModulusZero, "modulus")))
 
 

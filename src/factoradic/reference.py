@@ -75,7 +75,8 @@ def check_factoradic_order(smax: int = 7) -> tuple[int, list]:
 
 
 def check_inversions(samples: int = 200, max_size: int = 50, seed: int = 0) -> tuple[int, list]:
-    """inversion_set vs. the double loop on random permutations."""
+    """inversion_set vs. the double loop on random permutations: its pairs,
+    and its column counts against the column sums of the double loop's pairs."""
     rng = random.Random(seed)
     cases = 0
     mismatches = []
@@ -84,9 +85,13 @@ def check_inversions(samples: int = 200, max_size: int = 50, seed: int = 0) -> t
         prefix = list(range(s))
         rng.shuffle(prefix)
         cases += 1
-        got = inversion_set(prefix).pair_set()
+        inv = inversion_set(prefix)
+        got = inv.pair_set()
         want = inversions_bruteforce(prefix)
-        if got != want:
+        column_sums = [0] * s
+        for _, j in want:
+            column_sums[j] += 1
+        if got != want or inv.counts_by_larger() != tuple(column_sums):
             mismatches.append((tuple(prefix), sorted(got), sorted(want)))
     return cases, mismatches
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import islice, repeat
-from math import isqrt
 
 from . import core
 from .errors import ModulusTooSmall, RangeTooLarge
-from .modular import _factorials_mod, _prefix_sum
+from .modular import _factorials_mod, _prefix_sum, kempner
 
 _FORMATS = ("plain", "latex", "json")
 
@@ -144,7 +143,6 @@ def _render_terms(
     join, ``h_i.join(["", *tails])``, and a stretch with one column is one
     join over its rows, ``tail.join(h_lo .. h_hi-1) + tail``.
     """
-    _check_listing(rule)
     # no coefficient is longer than the modulus, so all print by str if it is short
     big = not core._short(rule.modulus)
     columns: dict[int, list[int]] = {}
@@ -183,7 +181,6 @@ def _render_json(rule: DivisibilityRule) -> str:
     Column j >= 1 lists the pairs (0, j) .. (j-1, j), each a head
     '{"i": i, "j": ' followed by the column's tail 'j, "c": c}'.
     """
-    _check_listing(rule)
     k, coefficients = rule.modulus, rule.coefficients
     if not core._short(k):  # as in _render_terms
         k, coefficients = core._text(k), tuple(map(core._text, coefficients))
@@ -206,33 +203,24 @@ def render_rule(rule: DivisibilityRule, fmt: str = "plain") -> str:
     "inv(0,1) + 2(inv(0,2) + inv(1,2))"; unit coefficients stay bare.
     JSON is the text of ``json.dumps(rule.to_json_obj())``.
     """
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
+    _check_listing(rule)  # the one check for both renderers
     if fmt == "plain":
         return _render_terms(rule, "inv(%d,", "%d)", "(", ")")
     if fmt == "latex":
         return _render_terms(rule, "\\inv{%d, ", "%d}", "\\left(", "\\right)")
-    if fmt == "json":
-        return _render_json(rule)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
-
-
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    if k % 2 == 0:
-        return k == 2
-    for d in range(3, isqrt(k) + 1, 2):
-        if k % d == 0:
-            return False
-    return True
+    return _render_json(rule)
 
 
 def _rules(k_max, primes_only: bool) -> Iterator[DivisibilityRule]:
     """The rules of :func:`rule_table`, each built when it is reached; k_max
-    is checked at once."""
+    is checked at once.  Primes are picked by the uncapped ``kempner``, so no
+    rule is built, or refused by the cap, for a k the filter drops."""
     k_max = _check_at_least_two(k_max, "k_max")
-    return (generate_rule(k) for k in range(2, k_max + 1) if not primes_only or _is_prime(k))
+    return (generate_rule(k) for k in range(2, k_max + 1) if not primes_only or kempner(k) == k != 4)
 
 
 def rule_table(k_max: int, primes_only: bool = False) -> list[DivisibilityRule]:
-    """Rules for k = 2..k_max, optionally restricted to prime moduli."""
+    """Rules for k = 2..k_max, or only the primes: the k with S(k) = k, k != 4."""
     return list(_rules(k_max, primes_only))

@@ -101,3 +101,19 @@ def test_order_suite_catches_planted_fault(monkeypatch):
     monkeypatch.setattr(reference, "encode", broken_encode)
     cases, mismatches = reference.check_factoradic_order(smax=3)
     assert any(n == 3 for _, n, _, _ in mismatches)
+
+
+def test_inversion_suite_catches_a_wrong_counting_kernel(monkeypatch, capsys):
+    # pair_set() is a double loop like the baseline's, so only the column
+    # counts can show a fault in the kernel behind counts_by_larger()
+    import factoradic.cli as cli
+    import factoradic.inversions as inversions
+
+    counts = inversions._counts
+    # counts the entries before j that are smaller, not larger
+    monkeypatch.setattr(inversions, "_counts", lambda p: [j - c for j, c in enumerate(counts(p))])
+    cases, mismatches = check_inversions(samples=20, max_size=12, seed=3)
+    assert cases == 20 and mismatches
+    assert all(got == want for _, got, want in mismatches)
+    assert cli.main(["verify", "--smax", "4", "--nmax", "100", "--kmax", "5"]) == 2
+    assert "inversion-sets: FAIL (200 cases)" in capsys.readouterr().out

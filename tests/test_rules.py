@@ -27,7 +27,7 @@ from factoradic import (
     rule_table,
 )
 from factoradic import core
-from factoradic.rules import _FORMATS, DivisibilityRule, _is_prime
+from factoradic.rules import _FORMATS, DivisibilityRule
 
 from golden import RULE_RENDERINGS, RULE_TERM_SETS
 from test_core import int_text_limit
@@ -356,11 +356,19 @@ def test_rule_table_primes_only():
     assert [r.modulus for r in table] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_prime_helper():
-    primes = [k for k in range(2, 100) if _is_prime(k)]
-    assert primes == [
-        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-        53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-    ]
-    assert not _is_prime(1)
-    assert not _is_prime(0)
+def test_primes_only_keeps_a_sieves_primes():
+    # the filter is S(k) = k, k != 4: 4 is the one composite with S(k) = k
+    sieve = [True] * 401
+    for d in range(2, 21):
+        sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    primes = [k for k in range(2, 401) if sieve[k]]
+    assert [r.modulus for r in rule_table(400, primes_only=True)] == primes
+    assert kempner(4) == 4 and 4 not in primes
+
+
+@pytest.mark.parametrize("cap, k", [(1, 2), (2, 3), (3, 5), (5, 7), (200, 211)])
+def test_primes_only_refuses_at_the_first_prime_past_the_cap(monkeypatch, cap, k):
+    # under cap 3 a filter on built rules would build k = 4 and refuse it
+    monkeypatch.setattr(core, "MAX_PREFIX_LENGTH", cap)
+    with pytest.raises(RangeTooLarge, match=f"^rule for {k} has more than MAX_PREFIX_LENGTH={cap} columns$"):
+        rule_table(250, True)
