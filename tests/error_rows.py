@@ -3,6 +3,11 @@
 ``tests/test_core.py`` checks every row, and ``tests/parity.py`` runs every
 call of them in its table.  The module imports neither pytest nor Hypothesis,
 so that the table runs on an interpreter that has neither.
+
+This is the one home of the library's refusals at the default cap and
+thresholds: a new one is added as a row here, with its exact type and
+message, not as a ``pytest.raises`` in a test.  A refusal under a patched
+cap or threshold stays in its test, since the rows run at the defaults.
 """
 
 import contextlib
@@ -21,6 +26,7 @@ from factoradic import (
     RangeTooLarge,
     compare_factoradic,
     decode,
+    digits_from_integer,
     digits_from_permutation,
     divisible,
     encode,
@@ -30,6 +36,7 @@ from factoradic import (
     inversion_set,
     kempner,
     minimal_form,
+    minimal_prefix_length,
     parse_permutation,
     permutation_from_digits,
     prefix_inversions,
@@ -174,4 +181,42 @@ def bad_inputs() -> list[tuple]:
             ("k_max", (rule_table, (-BIG,), ModulusTooSmall, f"k_max must be >= 2, got -{BIG_TEXT}")),
             ("length", (encode, (5, -BIG), PrefixTooShort, f"length must be >= 1, got -{BIG_TEXT}")),
         ]),
+        # each precondition at small values: n an int >= 0, a length that
+        # holds n within the cap, k >= 1 (>= 2 for a rule), a prefix of
+        # distinct entries long enough for k, a pair i < j inside the set
+        (digits_from_integer, (-1,), ValueError, "expected a non-negative integer, got -1"),
+        (encode, (-3,), ValueError, "expected a non-negative integer, got -3"),
+        (minimal_prefix_length, (-1,), ValueError, "expected a non-negative integer, got -1"),
+        (residue, (-1, 3), ValueError, "expected a non-negative integer, got -1"),
+        (encode, (1.5,), TypeError, "'float' object cannot be interpreted as an integer"),
+        (digits_from_integer, (24, 4), PrefixTooShort, "n = 24 needs at least 5 digits, got length 4"),
+        (encode, (24, 4), PrefixTooShort, "n = 24 needs at least 5 digits, got length 4"),
+        (digits_from_integer, (5, 0), PrefixTooShort, "length must be >= 1, got 0"),
+        (digits_from_integer, (0, 10**6 + 1), RangeTooLarge, "prefix length 1000001 exceeds MAX_PREFIX_LENGTH=1000000"),
+        (encode, (0, 10**6 + 1), RangeTooLarge, "prefix length 1000001 exceeds MAX_PREFIX_LENGTH=1000000"),
+        (parse_permutation, ("",), ParseError, "no entries in permutation text ''"),
+        (parse_permutation, ("()",), ParseError, "no entries in permutation text '()'"),
+        (parse_permutation, ("(1, x)",), ParseError, "invalid entry 'x' in '(1, x)'"),
+        (parse_permutation, ("(-1, 0)",), ParseError, "negative entry -1 in '(-1, 0)'"),
+        (parse_permutation, ("1.5 2",), ParseError, "invalid entry '1.5' in '1.5 2'"),
+        (residue, (5, 0), ModulusZero, "modulus must be >= 1, got 0"),
+        (mod_direct, (5, 0), ModulusZero, "modulus must be >= 1, got 0"),
+        (kempner, (0,), ModulusZero, "modulus must be >= 1, got 0"),
+        (residue_from_prefix, ((0, 1), -2), ModulusZero, "modulus must be >= 1, got -2"),
+        (residue_from_prefix, ((0, 1), 3), PrefixTooShort, "need a 3-prefix, got 2 entries"),
+        # k = 6 reads 3 entries, but the whole 6-prefix must be sane
+        (residue_from_prefix, ((1, 2, 3, 0, 4, 4), 6), DuplicateEntry, "repeated entry in (1, 2, 3, 0, 4, 4)"),
+        (evaluate_rule, (generate_rule(6), (1, 2)), PrefixTooShort, "need a 3-prefix, got 2 entries"),
+        (prefix_inversions, (5, 0), PrefixTooShort, "prefix length must be >= 1, got 0"),
+        (inversion_set, ((1, 1),), DuplicateEntry, "repeated entry in (1, 1)"),
+        *((inversion_set((2, 3, 0, 1)).inv, pair, IndexError, f"pair {pair} outside 0 <= i < j < 4")
+          for pair in ((2, 0), (1, 1), (-1, 2), (0, 4))),
+        *((generate_rule, (k,), ModulusTooSmall, f"modulus must be >= 2, got {k}") for k in (1, 0, -3)),
+        *((generate_rule, (k,), ModulusTooSmall, f"modulus must be an integer >= 2, got {k!r}") for k in (2.5, "5", None)),
+        (rule_table, (1,), ModulusTooSmall, "k_max must be >= 2, got 1"),
+        *((rule_table, (k,), ModulusTooSmall, f"k_max must be an integer >= 2, got {k!r}") for k in (2.5, "5", None)),
+        (render_rule, (generate_rule(3), "html"), ValueError, "unknown format 'html'; expected one of ('plain', 'latex', 'json')"),
+        (nth_permutation_bruteforce, (24, 4), PrefixTooShort, "need 0 <= n < 4!, got 24"),
+        (nth_permutation_bruteforce, (-1, 4), PrefixTooShort, "need 0 <= n < 4!, got -1"),
+        (nth_permutation_bruteforce, (0, 9), RangeTooLarge, "bruteforce enumeration capped at s = 8"),
     ]

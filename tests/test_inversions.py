@@ -1,13 +1,10 @@
 """Inversion-set unit tests: pair queries, column sums, equality, rendering."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from factoradic import (
-    DuplicateEntry,
     InversionSet,
-    PrefixTooShort,
     digits_from_permutation,
     inversion_counts_by_larger,
     inversion_set,
@@ -29,13 +26,6 @@ def test_indicator_golden():
     assert inv.inv(0, 1) == 0
     assert (1, 3) in inv
     assert (0, 1) not in inv
-
-
-def test_indicator_rejects_bad_index_pairs():
-    inv = inversion_set((2, 3, 0, 1))
-    for i, j in [(2, 0), (1, 1), (-1, 2), (0, 4)]:
-        with pytest.raises(IndexError):
-            inv.inv(i, j)
 
 
 def test_column_sums_are_digits():
@@ -75,13 +65,6 @@ def test_relative_order_only():
     assert hash(a) == hash(b)
     assert a != inversion_set((3, 2, 0, 1))
     assert a != (0, 0, 2, 2)
-
-
-def test_validation():
-    with pytest.raises(PrefixTooShort):
-        inversion_set(())
-    with pytest.raises(DuplicateEntry):
-        inversion_set((1, 1))
 
 
 @given(st.integers(1, 40).flatmap(lambda s: st.permutations(range(s))))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from factoradic import (
     MAX_PREFIX_LENGTH,
     DuplicateEntry,
-    ModulusZero,
     PrefixTooShort,
     RangeTooLarge,
     digits_from_permutation,
@@ -173,29 +172,6 @@ def test_divisible_integer_and_prefix_forms():
     assert divisible(encode(18, 6), 6)
     assert not divisible((1, 2, 3, 0), 4)  # this prefix encodes 18
     assert residue_from_prefix((1, 2, 3, 0), 4) == 18 % 4
-
-
-def test_validation():
-    with pytest.raises(ModulusZero):
-        residue(5, 0)
-    with pytest.raises(ModulusZero):
-        kempner(0)
-    with pytest.raises(ModulusZero):
-        residue_from_prefix((0, 1), -2)
-    with pytest.raises(PrefixTooShort):
-        residue_from_prefix((0, 1), 3)
-    with pytest.raises(PrefixTooShort):
-        prefix_inversions(5, 0)
-    with pytest.raises(DuplicateEntry):
-        residue_from_prefix((1, 1, 0), 3)
-    with pytest.raises(ValueError):
-        residue(-1, 3)
-
-
-def test_duplicate_beyond_cutoff_is_still_rejected():
-    # k = 6 only reads 3 entries, but the whole 6-prefix must be sane
-    with pytest.raises(DuplicateEntry):
-        residue_from_prefix((1, 2, 3, 0, 4, 4), 6)
 
 
 def _read_at_most(prefix, need):

@@ -17,9 +17,10 @@ each script in ``demos/``.  The script says which.
     python tools/tier1_all.py              # $PYENV_ROOT/versions/*, 3.10 up
     python tools/tier1_all.py PYTHON ...   # the given interpreters
 
-It prints one line per interpreter: passed and failed counts, wall time, and
-acceptance 8's time against its budget.  It exits 1 if anything failed.
-Standard library only.
+It prints one line per interpreter: passed and failed counts, the id of each
+test that failed (from pytest's ``FAILED`` and ``ERROR`` summary lines), wall
+time, and acceptance 8's time against its budget.  It exits 1 if anything
+failed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ def tier1(python: str, env) -> tuple[str, bool]:
     acceptance = re.search(r"ACCEPTANCE 8: (\w+) .*\(([\d.]+ s / [\d.]+ s)\)", out)
     a8 = f"acceptance 8 {acceptance[1]} ({acceptance[2]})" if acceptance else "acceptance 8 not reported"
     failed = counts.get("failed", 0) + counts.get("error", 0)
-    return f"{counts.get('passed', 0)} passed, {failed} failed; {a8}", code == 0
+    # the ids of pytest's short summary lines, "FAILED path::name[params] - message"
+    named = re.findall(r"^(?:FAILED|ERROR) ([^\s\[]+(?:\[.*?\])?)(?: - |$)", out, re.M)
+    failures = f"{failed} failed" + (f" ({', '.join(named)})" if named else "")
+    return f"{counts.get('passed', 0)} passed, {failures}; {a8}", code == 0
 
 
 def without_pytest(python: str, env) -> tuple[str, bool]:
