@@ -6,12 +6,18 @@ printed.  Two checkouts, or two interpreters, that print the same digest
 answered every call alike, so a refactor can show that it kept behaviour:
 
     python tests/parity.py             # the digest; exit 1 unless it is PINNED
-    python tests/parity.py --verbose   # one line per call, then the digest
+    python tests/parity.py --verbose   # label -> outcome per call, then the digest
 
-It imports the package from the ``src`` next to this file.  To find a
-mismatch, ``python tools/parity_diff.py BASE`` runs this table on a commit
-and on the working tree, and lists the calls whose outcomes differ.  It
-needs only the standard library.
+It imports the package from the ``src`` next to this file, and needs only the
+standard library.  To list the calls whose outcomes moved since commit BASE,
+run this table, and the error rows it reads, on BASE's ``src`` and on the
+working tree's, and compare the listings; the last line of each is its digest:
+
+    base=$(mktemp -d)
+    git archive BASE | tar -x -C "$base"
+    cp tests/parity.py tests/error_rows.py "$base/tests/"
+    python "$base/tests/parity.py" --verbose > base.txt; python tests/parity.py --verbose > tree.txt
+    diff base.txt tree.txt
 
 The table covers every public function and subcommand, the error rows of
 the tests (``tests/error_rows.py``), the codec around factorials, the
@@ -45,7 +51,7 @@ from error_rows import bad_inputs, int_text_limit
 
 # The table's digest, the same on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.  A
 # change that moves an outcome re-pins it, and says in CHANGES.md which lines
-# moved (``python tools/parity_diff.py BASE`` lists them) and why.
+# moved (``diff`` of two ``--verbose`` listings shows them; see above) and why.
 PINNED = "d6ce75d864feae7a74c7513bf4bc1d560390cf6cf6ccbbce8ba2cdd15b14d25c"
 LIMITS = (0, 640)  # CPython's int text limits the table runs under (0: none)
 WIDTH = 120
@@ -237,14 +243,13 @@ def outcomes():
 
 def hashed(records, each=None) -> str:
     """The SHA-256 of one line per ``(label, outcome)`` record, ``label ->
-    outcome``; each record and its line go to ``each(label, got, line)``, if
-    given, as they are hashed.  ``tools/parity_diff.py`` hashes with it too."""
+    outcome``; each record goes to ``each(label, got)``, if given, as it is
+    hashed."""
     h = hashlib.sha256()
     for label, got in records:
-        line = f"{label} -> {got}"
-        h.update(line.encode() + b"\n")
+        h.update(f"{label} -> {got}\n".encode())
         if each:
-            each(label, got, line)
+            each(label, got)
     return h.hexdigest()
 
 
@@ -258,8 +263,10 @@ def short(text: str, width: int = WIDTH) -> str:
 
 
 def digest(verbose: bool = False) -> str:
-    """The SHA-256 of the table's lines (:func:`hashed`), each printed :func:`short` if verbose."""
-    return hashed(outcomes(), (lambda label, got, line: print(short(line))) if verbose else None)
+    """The SHA-256 of the table's lines (:func:`hashed`); if verbose, each is
+    printed with its label and its outcome cut apart by :func:`short`, so that
+    a long label hides no outcome."""
+    return hashed(outcomes(), (lambda label, got: print(f"{short(label)} -> {short(got)}")) if verbose else None)
 
 
 def main(argv: list[str]) -> int:

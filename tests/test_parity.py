@@ -1,6 +1,5 @@
 """The parity table of ``tests/parity.py``: its digest, and what it covers."""
 
-import pathlib
 import sys
 
 import pytest
@@ -11,9 +10,6 @@ import factoradic.core as core
 
 import parity
 from error_rows import bad_inputs, int_text_limit
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
-import parity_diff
 
 
 @pytest.fixture(scope="module")
@@ -90,18 +86,21 @@ def test_the_table_calls_every_public_function_and_subcommand():
     assert subcommands - run == set()
 
 
-def test_parity_diff_pairs_calls_by_label_and_occurrence():
-    old = [("a", "1"), ("b", "2"), ("a", "3"), ("c", "4"), ("d", "5")]
-    new = [("a", "1"), ("a", "9"), ("b", "2"), ("e", "6"), ("d", "5"), ("d", "7")]
-    assert parity_diff.pair(old, new) == [
-        ("a", "3", "9"), ("c", "4", None), ("e", None, "6"), ("d", None, "7"),
-    ]
-    assert parity_diff.pair(old, old) == []
-
-
-def test_parity_diff_cuts_long_text_and_keeps_it_comparable():
-    # parity_diff.emit and --verbose cut with parity.short
+def test_short_cuts_long_text_and_keeps_it_comparable():
     assert parity.short("x" * 120) == "x" * 120
     a, b = parity.short("x" * 200 + "a"), parity.short("x" * 200 + "b")
     assert a != b and len(a) <= parity.WIDTH
     assert a.startswith("x" * 80) and "[201 chars, sha256 " in a
+
+
+def test_verbose_shows_the_outcome_behind_a_long_label(monkeypatch, capsys):
+    # --verbose cuts a label and its outcome apart, so the outcome stays in view
+    monkeypatch.setattr(parity, "_rows", lambda: [(len, ("x" * 200,))])
+    monkeypatch.setattr(parity, "_capped_rows", lambda cap: [])
+    label = f"len({'x' * 200!r},)"
+    assert parity.main(["--verbose"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{parity.short(label)} -> 200",
+        f"{parity.short('limit=640 ' + label)} -> 200",
+        parity.hashed([(label, "200"), (f"limit=640 {label}", "200")]),
+    ]
